@@ -30,8 +30,6 @@ Subcommands map one-to-one onto the paper's artefacts:
   ``--lifecycle-poll-s`` runs the same loop in-process.
 * ``export`` — dump the raw loop data in the release format.
 * ``cache`` — inspect or prune the measurement cache (stats/gc/clear).
-* ``bench`` — time the measure/dedup/label/select/serve stages against the
-  reference implementations and write a ``BENCH_<date>.json`` perf report.
 
 Measurement fans out over ``--jobs`` worker processes (or ``$REPRO_JOBS``);
 results are bit-identical to a serial run at any parallelism.
@@ -849,47 +847,6 @@ def cmd_suite_stats(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    """Time measure/label/select against the reference implementations and
-    write the BENCH_<date>.json perf report."""
-    from repro.perf import BenchConfig, run_bench, write_report
-
-    import dataclasses
-
-    config = BenchConfig.quick_config() if args.quick else BenchConfig()
-    if args.scale is not None:
-        config = dataclasses.replace(config, loops_scale=args.scale)
-    config = dataclasses.replace(config, suite_seed=args.seed)
-    report = run_bench(config)
-    print(report.summary())
-    dedup = report.stage("dedup").detail
-    if not dedup.get("picks_match", True):
-        print("WARNING: dedup measurement tables diverge from dedup-off")
-    select = report.stage("select").detail
-    if not select.get("picks_match", True):
-        print("WARNING: fast and reference feature selection disagree")
-    serve = report.stage("serve").detail
-    if not serve.get("predictions_match", True):
-        print("WARNING: served predictions disagree with retrain-per-request")
-    daemon = report.stage("daemon").detail
-    if not daemon.get("predictions_match", True):
-        print("WARNING: batched daemon predictions disagree with per-request")
-    if daemon.get("reload", {}).get("responses_dropped"):
-        print("WARNING: hot reload dropped responses under live traffic")
-    families = report.stage("families").detail
-    if not families.get("predictions_match", True):
-        print("WARNING: family predictions diverge (scalar/batched, "
-              "restricted-ensemble, or save/load round trip)")
-    multiproc = report.stage("multiproc").detail
-    if not multiproc.get("predictions_match", True):
-        print("WARNING: multi-process predictions diverge across worker counts")
-    if not multiproc.get("balanced", True):
-        print("WARNING: multi-process healthz counters did not balance")
-    path = write_report(report, args.out)
-    print(f"wrote {path}")
-    return 0
-
-
 def cmd_export(args) -> int:
     """Dump the labelled dataset in the raw-loop-data release format."""
     from repro.instrument import LoopRecord, write_records
@@ -1178,21 +1135,6 @@ def main(argv=None) -> int:
         help="chaos-testing hook: inline JSON or a fault-plan file (never on by default)",
     )
     lifecycle_parser.set_defaults(handler=cmd_lifecycle)
-
-    bench_parser = sub.add_parser(
-        "bench", help="time the pipeline stages and write BENCH_<date>.json"
-    )
-    bench_parser.add_argument("--seed", type=int, default=20050320, help="suite root seed")
-    bench_parser.add_argument(
-        "--scale", type=float, default=None, help="override the bench suite scale"
-    )
-    bench_parser.add_argument(
-        "--quick", action="store_true", help="CI-smoke sizing (small suite and subsample)"
-    )
-    bench_parser.add_argument(
-        "--out", default=".", help="directory for the BENCH_<date>.json report"
-    )
-    bench_parser.set_defaults(handler=cmd_bench)
 
     cache_parser = sub.add_parser("cache", help="inspect or prune the measurement cache")
     cache_parser.add_argument("action", choices=("stats", "gc", "clear"))

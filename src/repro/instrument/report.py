@@ -44,7 +44,7 @@ class DedupStats:
     the classes actually measured, each fanned back out to its members.
     ``n_structural_classes`` counts the looser trip-count-agnostic classes;
     ``class_merges`` (= ``n_loops - n_structural_classes``) is the merge
-    statistic the bench reports.  The incremental counters aggregate the
+    statistic ``repro measure --dedup`` reports.  The incremental counters aggregate the
     cross-factor analysis reuse the class sweeps achieved.
     """
 

@@ -26,8 +26,8 @@ serialization (never Python ``hash()``, which varies per process):
   topological order of the distance-0 dependence DAG, with ties broken by
   Weisfeiler–Lehman-refined content signatures), so alpha-renaming *and*
   benign (dependence-respecting) statement reordering map to the same
-  key.  This key defines the *structural* equivalence classes the bench
-  reports as ``class_merges`` — loops that differ only in trip count and
+  key.  This key defines the *structural* equivalence classes the dedup
+  statistics report as ``class_merges`` — loops that differ only in trip count and
   would be dedupable at equal trips.
 * :func:`canonical_key` — the structural serialization plus the trip
   token: invariant under alpha-renaming and benign reordering, changed by

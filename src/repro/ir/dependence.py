@@ -13,8 +13,7 @@ subgraph is a DAG; carried edges may point backward and create the cycles
 whose latency/distance ratio bounds the software pipeliner's RecMII.
 
 The graph is stored as plain adjacency lists for speed (it sits on the
-labelling pipeline's hot path), with a :func:`DependenceGraph.to_networkx`
-view for tests, notebooks, and the feature extractor's reachability queries.
+labelling pipeline's hot path).
 """
 
 from __future__ import annotations
@@ -22,8 +21,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
-
-import networkx as nx
 
 from repro.ir.instruction import Instruction
 from repro.ir.loop import Loop
@@ -195,17 +192,6 @@ class DependenceGraph:
             if edge.distance == 0:
                 degrees[edge.dst] += 1
         return degrees
-
-    def to_networkx(self) -> nx.MultiDiGraph:
-        """A networkx view (nodes are body positions, edges keep metadata)."""
-        graph = nx.MultiDiGraph()
-        for i, inst in enumerate(self.body):
-            graph.add_node(i, op=inst.op.value, uid=inst.uid)
-        for edge in self.edges:
-            graph.add_edge(
-                edge.src, edge.dst, kind=edge.kind.value, distance=edge.distance
-            )
-        return graph
 
 
 # ----------------------------------------------------------------------

@@ -29,8 +29,7 @@ builds each candidate's distance/Gram matrix by a single elementwise
 update of the running base.  The SVM refit solves the SPD Schur complement
 of the bordered LS-SVM system with one Cholesky factorisation shared by
 all output-code bits.  The ``engine="reference"`` path scores every subset
-from scratch with the original formulas; it is the equivalence oracle and
-the bench baseline.
+from scratch with the original formulas; it is the equivalence oracle.
 """
 
 from __future__ import annotations

@@ -72,15 +72,6 @@ from repro.simulate.noise import DEFAULT_NOISE, NoiseModel
 class LabelingConfig:
     """Knobs of the labelling protocol (paper defaults).
 
-    ``engine`` selects the cost-model implementation (``"fast"`` and
-    ``"incremental"`` are bit-identical to ``"reference"``; the latter
-    exists as the bench baseline).  ``batched_noise`` selects the noise
-    stream contract: one ``(n_loops, n_runs)`` block draw per work unit
-    (the default) versus the legacy per-loop scalar draws.  The two
-    contracts consume the generator in different orders, so
-    ``batched_noise`` changes measured medians and participates in the
-    measurement cache key; ``engine`` does not.
-
     ``dedup`` switches the fan-out to content-addressed work units: one
     representative per cost-key equivalence class
     (:func:`repro.pipeline.dedup.build_dedup_index`) is measured across
@@ -97,8 +88,6 @@ class LabelingConfig:
     n_runs: int = 30
     min_cycles: float = 50_000.0
     min_benefit: float = 1.05
-    engine: str = "fast"
-    batched_noise: bool = True
     dedup: bool = False
 
 
@@ -118,25 +107,6 @@ class LabelingStats:
             f"{self.n_below_cycle_floor} below the cycle floor, "
             f"{self.n_flat} flat (< min benefit), {self.n_labeled} labelled"
         )
-
-
-def measure_loop_cycles(
-    loop: Loop,
-    cost_model: CostModel,
-    noise: NoiseModel,
-    rng: np.random.Generator,
-    n_runs: int,
-) -> tuple[np.ndarray, np.ndarray]:
-    """``(measured_median, true)`` cycles for factors 1..8."""
-    measured = np.empty(MAX_UNROLL)
-    true = np.empty(MAX_UNROLL)
-    for factor in range(1, MAX_UNROLL + 1):
-        true_cycles = cost_model.loop_cost(loop, factor).total_cycles
-        true[factor - 1] = true_cycles
-        measured[factor - 1] = noise.median_measurement(
-            true_cycles, loop.entry_count, rng, n=n_runs
-        )
-    return measured, true
 
 
 def resolve_jobs(jobs: int | None = None) -> int:
@@ -215,27 +185,9 @@ def _pair_from_json(payload: dict) -> tuple[UnitResult, UnitResult]:
     return unit_from_json(payload["off"]), unit_from_json(payload["on"])
 
 
-def _unit_cost_model(config: LabelingConfig) -> CostModel:
-    """The cost model a work unit uses when the caller supplies none."""
-    if config.engine == "reference":
-        return CostModel(machine=config.machine, swp=config.swp, engine="reference")
-    return shared_cost_model(config.machine, config.swp, config.engine)
-
-
-def _class_engine(config: LabelingConfig) -> str:
-    """Engine of the class sweeps: incremental (bit-identical to "fast",
-    and the sweep's ascending factor order is exactly what it exploits)
-    unless the caller explicitly asked for the from-scratch reference."""
-    return "reference" if config.engine == "reference" else "incremental"
-
-
-def _class_cost_model(config: LabelingConfig) -> CostModel:
-    """The cost model a dedup class sweep uses when the caller supplies
-    none (the pool path; serial runs bind a private model instead)."""
-    engine = _class_engine(config)
-    if engine == "reference":
-        return CostModel(machine=config.machine, swp=config.swp, engine="reference")
-    return shared_cost_model(config.machine, config.swp, engine)
+#: Engine of the dedup class sweeps: bit-identical to the per-unit "fast"
+#: engine, and a sweep's ascending factor order is exactly what it exploits.
+_CLASS_ENGINE = "incremental"
 
 
 def measure_benchmark_factor(
@@ -252,15 +204,16 @@ def measure_benchmark_factor(
     every loop of ``benchmark`` compiled at ``factor`` — timed over
     ``config.n_runs`` runs.  The unit owns an RNG derived from its own seed
     child, so results are independent of which worker runs it and of the
-    order units complete in.
+    order units complete in.  The unit draws one ``(n_loops, n_runs)``
+    sample batch per the noise module's stream contract.
 
-    With ``config.batched_noise`` (the default) the unit draws one
-    ``(n_loops, n_runs)`` sample batch per the noise module's stream
-    contract; otherwise it replays the legacy per-loop scalar draws.
+    ``cost_model`` defaults to the process-wide shared ``"fast"`` model; any
+    other engine (``CostModel(engine="reference")``, say) yields the same
+    result bit for bit.
     """
     start = time.perf_counter()
     if cost_model is None:
-        cost_model = _unit_cost_model(config)
+        cost_model = shared_cost_model(config.machine, config.swp)
     cache = cost_model.analysis
     hits0, misses0 = cache.hits, cache.misses
     rng = np.random.default_rng(seed)
@@ -270,14 +223,7 @@ def measure_benchmark_factor(
     for i, loop in enumerate(benchmark.loops):
         true[i] = cost_model.loop_cost(loop, factor).total_cycles
         entry_counts[i] = loop.entry_count
-    if config.batched_noise:
-        measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
-    else:
-        measured = np.empty(n)
-        for i in range(n):
-            measured[i] = config.noise.median_measurement(
-                true[i], int(entry_counts[i]), rng, n=config.n_runs
-            )
+    measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
     return UnitResult(
         bench_index=bench_index,
         factor=factor,
@@ -309,7 +255,10 @@ def measure_benchmark_factor_pair(
     the pair bit-identical to two independent single-regime runs.
     """
     if cost_models is None:
-        cost_models = (_unit_cost_model(config_off), _unit_cost_model(config_on))
+        cost_models = (
+            shared_cost_model(config_off.machine, config_off.swp),
+            shared_cost_model(config_on.machine, config_on.swp),
+        )
     off = measure_benchmark_factor(
         benchmark, bench_index, factor, config_off, seed, cost_models[0]
     )
@@ -396,7 +345,7 @@ def measure_class(
     """
     start = time.perf_counter()
     if cost_model is None:
-        cost_model = _class_cost_model(config)
+        cost_model = shared_cost_model(config.machine, config.swp, _CLASS_ENGINE)
     cache = cost_model.analysis
     hits0, misses0 = cache.hits, cache.misses
     inc_hits0 = cost_model.incremental_hits
@@ -426,7 +375,10 @@ def measure_class_pair(
     """One dedup work unit swept in both scheduling regimes back to back
     (the class-level analogue of :func:`measure_benchmark_factor_pair`)."""
     if cost_models is None:
-        cost_models = (_class_cost_model(config_off), _class_cost_model(config_on))
+        cost_models = (
+            shared_cost_model(config_off.machine, config_off.swp, _CLASS_ENGINE),
+            shared_cost_model(config_on.machine, config_on.swp, _CLASS_ENGINE),
+        )
     off = measure_class(loop, class_key, config_off, cost_models[0])
     on = measure_class(loop, class_key, config_on, cost_models[1])
     return off, on
@@ -564,16 +516,9 @@ def _fan_out(
                 else:
                     true[i] = unit.per_entry[factor - 1] * entry_counts[i]
             rng = np.random.default_rng(seeds[bi][factor - 1])
-            if config.batched_noise:
-                measured = config.noise.batch_medians(
-                    true, entry_counts, rng, n=config.n_runs
-                )
-            else:
-                measured = np.empty(n)
-                for i in range(n):
-                    measured[i] = config.noise.median_measurement(
-                        true[i], int(entry_counts[i]), rng, n=config.n_runs
-                    )
+            measured = config.noise.batch_medians(
+                true, entry_counts, rng, n=config.n_runs
+            )
             results[(bi, factor)] = UnitResult(
                 bench_index=bi,
                 factor=factor,
@@ -654,7 +599,7 @@ def measure_suite(
     # analysis caches amortise across factors (pool workers get the same
     # effect from their process-local shared models).
     cost_model = (
-        CostModel(machine=config.machine, swp=config.swp, engine=config.engine)
+        CostModel(machine=config.machine, swp=config.swp)
         if jobs == 1
         else None
     )
@@ -705,7 +650,7 @@ def _measure_suite_dedup(
     assembly = _TableAssembly(suite, config)
     seeds = _unit_seeds(config.seed, len(suite.benchmarks))
     cost_model = (
-        CostModel(machine=config.machine, swp=config.swp, engine=_class_engine(config))
+        CostModel(machine=config.machine, swp=config.swp, engine=_CLASS_ENGINE)
         if jobs == 1
         else None
     )
@@ -784,10 +729,8 @@ def measure_suite_pair(
     if jobs == 1:
         shared = AnalysisCache()
         cost_models = (
-            CostModel(machine=config.machine, swp=False, analysis=shared,
-                      engine=config.engine),
-            CostModel(machine=config.machine, swp=True, analysis=shared,
-                      engine=config.engine),
+            CostModel(machine=config.machine, swp=False, analysis=shared),
+            CostModel(machine=config.machine, swp=True, analysis=shared),
         )
     else:
         cost_models = None
@@ -856,12 +799,11 @@ def _measure_suite_pair_dedup(
     seeds = _unit_seeds(config.seed, len(suite.benchmarks))
     if jobs == 1:
         shared = AnalysisCache()
-        engine = _class_engine(config)
         cost_models = (
             CostModel(machine=config.machine, swp=False, analysis=shared,
-                      engine=engine),
+                      engine=_CLASS_ENGINE),
             CostModel(machine=config.machine, swp=True, analysis=shared,
-                      engine=engine),
+                      engine=_CLASS_ENGINE),
         )
     else:
         cost_models = None

@@ -14,7 +14,8 @@ iteration's consumer (an in-order machine stalls on use).  See
 As in :mod:`repro.sched.modulo`, the public functions run on
 :class:`~repro.sched.precompute.SchedPrecomp` integer tables (built on the
 fly when not supplied) and the original implementations are retained as
-``*_reference`` oracles for the equivalence tests and the bench baseline.
+``*_reference`` oracles for the equivalence tests and the reference cost
+engine.
 """
 
 from __future__ import annotations

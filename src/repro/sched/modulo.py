@@ -22,7 +22,8 @@ fly when the caller does not supply one) and avoid all per-query enum
 hashing and IR attribute chains in the hot placement loop.  The original
 table-free code is retained verbatim as ``*_reference`` functions: the
 equivalence tests assert the two produce bit-identical schedules, and
-``repro-unroll bench`` uses the reference path as its honest baseline.
+the reference cost engine built on them is what perfbench's offline
+workload spot-checks the pipeline's tables against.
 """
 
 from __future__ import annotations
@@ -424,7 +425,7 @@ def _try_ii_tables(pre: SchedPrecomp, ii: int, budget: int):
 # Reference implementation (pre-SchedPrecomp, retained verbatim).
 #
 # The equivalence tests assert `modulo_schedule` matches this bit for bit,
-# and `repro-unroll bench` runs it as the baseline labeling engine.
+# and the reference cost engine (perfbench's spot check) runs on it.
 # ----------------------------------------------------------------------
 
 

@@ -23,8 +23,8 @@ The schedulers consume these tables through their fast paths
 (:func:`repro.sched.list_scheduler.list_schedule` and
 :func:`repro.sched.modulo.modulo_schedule` accept an optional ``pre``); the
 original table-free implementations are retained as ``*_reference``
-functions, serving as correctness oracles for the equivalence tests and as
-the honest baseline for ``repro-unroll bench``.
+functions, serving as correctness oracles for the tier-1 equivalence
+tests and for perfbench's reference-engine spot check.
 """
 
 from __future__ import annotations

@@ -50,6 +50,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -64,6 +65,7 @@ from repro.machine.model import MachineModel
 from repro.registry.artifact import ArtifactStore, load_or_quarantine
 from repro.serve.engine import (
     ERROR_INVALID_JSON,
+    ERROR_MALFORMED_REQUEST,
     PredictionEngine,
     _InvalidLine,
     error_response,
@@ -71,6 +73,10 @@ from repro.serve.engine import (
 from repro.serve.gateway import GatewayConfig, ServeGateway
 from repro.serve.loader import load_serving_artifact
 from repro.serve.requestlog import RequestLog, features_checksum
+
+#: Longest request line a connection may send (asyncio's default
+#: ``StreamReader`` limit, made explicit so the error can name it).
+LINE_LIMIT = 2**16
 
 
 @dataclasses.dataclass(frozen=True)
@@ -93,7 +99,8 @@ class DaemonConfig:
     one port (the kernel shards connections); ``bind_control`` opens a
     second, ephemeral listener speaking the same protocol — the
     supervisor's direct line to one worker for health probes and peer
-    updates regardless of where the kernel routes public connections;
+    updates (accepted there only) regardless of where the kernel routes
+    public connections;
     ``worker_id`` tags healthz and request-log records; ``request_log``
     appends one JSON line per served response (see
     :mod:`repro.serve.requestlog`).
@@ -372,12 +379,16 @@ class ServeDaemon:
             self.config.host,
             self.config.port,
             reuse_port=self.config.reuse_port or None,
+            limit=LINE_LIMIT,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
         if self.config.bind_control:
             self._control_server = await asyncio.start_server(
-                self._handle_connection, self.config.host, 0
+                functools.partial(self._handle_connection, control=True),
+                self.config.host,
+                0,
+                limit=LINE_LIMIT,
             )
             control_name = self._control_server.sockets[0].getsockname()
             self.control_address = (control_name[0], control_name[1])
@@ -654,8 +665,13 @@ class ServeDaemon:
     # per-connection protocol
 
     async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
+        self,
+        reader: asyncio.StreamReader,
+        writer: asyncio.StreamWriter,
+        control: bool = False,
     ) -> None:
+        """Serve one connection; ``control`` marks the supervisor's control
+        listener, the only one allowed to rewrite the peer list."""
         peer = writer.get_extra_info("peername")
         client = f"{peer[0]}:{peer[1]}" if peer else "unknown"
         write_lock = asyncio.Lock()
@@ -680,7 +696,19 @@ class ServeDaemon:
 
         try:
             while True:
-                line = await reader.readline()
+                try:
+                    line = await reader.readline()
+                except ValueError:
+                    # Over LINE_LIMIT: the rest of the line cannot be framed,
+                    # so answer once, let in-flight responses land, and close.
+                    await write_response(
+                        error_response(
+                            None,
+                            ERROR_MALFORMED_REQUEST,
+                            f"request line exceeds {LINE_LIMIT} bytes; closing",
+                        )
+                    )
+                    break
                 if not line:
                     break
                 text = line.decode("utf-8", errors="replace").strip()
@@ -704,6 +732,15 @@ class ServeDaemon:
                     # addresses for aggregated healthz.  Answered inline,
                     # never queued — peer updates must land even while the
                     # serve queue is saturated.
+                    if not control:
+                        await write_response(
+                            error_response(
+                                request.get("id"),
+                                ERROR_MALFORMED_REQUEST,
+                                "cluster_peers is accepted only on the control listener",
+                            )
+                        )
+                        continue
                     try:
                         count = self.set_peers(request["cluster_peers"])
                     except (TypeError, ValueError) as error:
@@ -783,7 +820,7 @@ class ServeDaemon:
 
 
 class BackgroundDaemon:
-    """Run a :class:`ServeDaemon` on a background thread (tests, bench).
+    """Run a :class:`ServeDaemon` on a background thread (tests, embedding).
 
     ``with BackgroundDaemon(daemon) as d:`` yields once the socket is
     bound (``d.address`` is live); exit performs the full drain-shaped

@@ -28,9 +28,9 @@ Costing splits into two stages:
   eligible.  Cheap relative to analysis, and never cached.
 
 ``engine="reference"`` bypasses both the cache and the table-driven
-schedulers, running the original single-stage path — the baseline that
-``repro-unroll bench`` compares against, and the oracle the equivalence
-tests pin the fast path to.
+schedulers, running the original single-stage path — the oracle the
+tier-1 equivalence tests pin the fast path to, and the engine perfbench's
+offline workload re-measures six units with on every run.
 
 ``engine="incremental"`` layers cross-factor reuse *under* the analysis
 cache: the factor-``f`` analysis extends work already done for other
@@ -329,8 +329,8 @@ class CostModel:
         engine: ``"fast"`` (two-stage, cached, table-driven schedulers),
             ``"incremental"`` (the fast path plus cross-factor reuse; see
             the module docstring), or ``"reference"`` (the original
-            single-stage path; bit-identical results, used as the bench
-            baseline).
+            single-stage path; bit-identical results, kept as the
+            equivalence oracle).
     """
 
     def __init__(
@@ -876,7 +876,7 @@ class CostModel:
 
     # ------------------------------------------------------------------
     # Reference engine: the original single-stage path, retained as the
-    # bench baseline and equivalence oracle.
+    # equivalence oracle (tier-1 tests, perfbench's spot check).
     # ------------------------------------------------------------------
 
     def _loop_cost_reference(self, loop: Loop, factor: int) -> LoopCost:

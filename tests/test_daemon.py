@@ -24,6 +24,7 @@ from repro.serve import (
     DaemonConfig,
     ServeDaemon,
 )
+from repro.serve.daemon import LINE_LIMIT
 
 from tests.test_model_artifacts import synthetic_dataset
 
@@ -127,25 +128,62 @@ class TestProtocol(DaemonHarness):
             client.close()
         assert response["id"] == 3
 
-    def test_pipelined_requests_all_answered(self, store, dataset):
+    def test_pipelined_requests_all_answered(self, store, dataset, artifact):
         n = 40
         with self._run(store) as daemon:
             client = _Client(daemon.address)
             for i in range(n):
-                client.send({"id": i, "features": _features(dataset, i % 40)})
+                client.send({"id": i, "classifier": "svm", "features": _features(dataset, i)})
             responses = [client.recv() for _ in range(n)]
             client.close()
         # Completion-ordered, id-matched: every id exactly once, all ok.
         assert sorted(r["id"] for r in responses) == list(range(n))
         assert all(r["ok"] for r in responses)
+        # Whatever the server shape (one daemon, or a cluster of workers in
+        # either sharding mode), each factor is exactly the artifact's own
+        # single-row prediction.
+        for r in responses:
+            row = dataset.X[r["id"] : r["id"] + 1]
+            assert r["factor"] == artifact.predict_features(row, "svm")[0]
+
+    def test_public_port_cannot_rewrite_cluster_peers(self, store):
+        with self._run(store) as daemon:
+            client = _Client(daemon.address)
+            before = client.ask({"id": 1, "healthz": True})["healthz"]["cluster_peers"]
+            reply = client.ask({"id": 2, "cluster_peers": [[7, "203.0.113.9", 9]]})
+            after = client.ask({"id": 3, "healthz": True})["healthz"]["cluster_peers"]
+            client.close()
+        assert reply["ok"] is False
+        assert reply["id"] == 2
+        assert reply["error"]["type"] == ERROR_MALFORMED_REQUEST
+        assert after == before
+
+    def test_oversized_line_gets_typed_error_then_clean_close(self, store, dataset):
+        with self._run(store) as daemon:
+            client = _Client(daemon.address)
+            client.send({"id": 1, "features": _features(dataset)})
+            client.send({"id": 2, "source": "x" * (100 * 1024)})
+            responses = {r["id"]: r for r in (client.recv(), client.recv())}
+            assert client.stream.readline() == ""  # closed, not reset
+            client.close()
+            other = _Client(daemon.address)
+            unaffected = other.ask({"id": 3, "features": _features(dataset)})
+            other.close()
+            assert daemon.gateway.counters.balanced()
+        assert responses[1]["ok"] is True and 1 <= responses[1]["factor"] <= 8
+        assert responses[None]["ok"] is False
+        assert responses[None]["error"]["type"] == ERROR_MALFORMED_REQUEST
+        assert str(LINE_LIMIT) in responses[None]["error"]["message"]
+        assert unaffected["ok"] is True
 
 
 class TestMicroBatching:
-    def test_concurrent_clients_coalesce_into_batches(self, store, dataset):
+    def test_concurrent_clients_coalesce_into_batches(self, store, dataset, artifact):
         n_clients, per_client = 4, 25
         with _run(store, batch_window_ms=5.0, max_batch=32) as daemon:
             barrier = threading.Barrier(n_clients)
             failures = []
+            factors = {}
 
             def client_thread(index):
                 try:
@@ -160,6 +198,7 @@ class TestMicroBatching:
                         )
                     responses = [client.recv() for _ in range(per_client)]
                     assert all(r["ok"] for r in responses)
+                    factors.update((r["id"], r["factor"]) for r in responses)
                     client.close()
                 except Exception as error:  # pragma: no cover - diagnostic
                     failures.append(error)
@@ -180,6 +219,12 @@ class TestMicroBatching:
         assert stats.batches < total
         assert stats.max_batch > 1
         assert daemon.gateway.counters.balanced()
+        # Coalescing changes no answer: each factor equals the artifact's
+        # single-row prediction for that request's row.
+        assert len(factors) == total
+        for request_id, factor in factors.items():
+            row = (request_id % per_client) % 40
+            assert factor == artifact.predict_features(dataset.X[row : row + 1])[0]
 
     def test_max_batch_one_serves_per_request(self, store, dataset):
         with _run(store, batch_window_ms=0.0, max_batch=1) as daemon:

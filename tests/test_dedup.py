@@ -49,6 +49,8 @@ from repro.pipeline import (
     LabelingConfig,
     build_dedup_index,
     lsh_candidate_pairs,
+    measure_benchmark_factor,
+    measure_class,
     measure_suite,
     measure_suite_pair,
 )
@@ -353,22 +355,47 @@ class TestDifferentialMeasurement:
         table = measure_suite(suite, make_config(3, swp=swp, dedup=True))
         assert_tables_bit_identical(table, on if swp else off)
 
-    @pytest.mark.parametrize("jobs", [1, 4])
     @pytest.mark.parametrize("swp", [False, True])
-    def test_incremental_and_reference_match_the_fast_engine(self, swp, jobs):
+    def test_incremental_and_reference_match_the_fast_engine(self, swp):
         suite, off, on = plain_pair(3, 0.04)
-        baseline = on if swp else off
+        config = make_config(3, swp=swp)
         for engine in ("reference", "incremental"):
-            table = measure_suite(
-                suite, make_config(3, swp=swp, engine=engine), jobs=jobs
+            _assert_units_match(
+                suite, config, on if swp else off, CostModel(swp=swp, engine=engine)
             )
-            assert_tables_bit_identical(table, baseline)
 
     def test_dedup_composes_with_the_incremental_and_reference_engines(self):
         suite, off, _ = plain_pair(3, 0.04)
-        for engine in ("incremental", "reference"):
-            table = measure_suite(suite, make_config(3, dedup=True, engine=engine))
-            assert_tables_bit_identical(table, off)
+        config = make_config(3, dedup=True)
+        assert_tables_bit_identical(measure_suite(suite, config), off)
+        # The class sweeps run on the incremental engine; each one must
+        # equal the from-scratch reference sweep of the same representative.
+        index = build_dedup_index(suite, machine=ITANIUM2)
+        for ci, cls in enumerate(index.classes):
+            loop = index.representative_loop(suite, ci)
+            incremental = measure_class(
+                loop, cls.key, config, CostModel(engine="incremental")
+            )
+            reference = measure_class(loop, cls.key, config, CostModel(engine="reference"))
+            np.testing.assert_array_equal(incremental.per_entry, reference.per_entry)
+        _assert_units_match(suite, config, off, CostModel(engine="reference"))
+
+
+def _assert_units_match(suite, config, table, cost_model) -> None:
+    """Every (benchmark, factor) unit measured through ``cost_model`` and
+    seeded the way :func:`measure_suite` seeds it lands exactly on
+    ``table``'s cells — the path perfbench spot-checks on every run."""
+    seeds = np.random.SeedSequence(config.seed).spawn(len(suite.benchmarks))
+    start = 0
+    for bi, benchmark in enumerate(suite.benchmarks):
+        rows = slice(start, start + benchmark.n_loops)
+        for factor, seed in enumerate(seeds[bi].spawn(MAX_UNROLL), start=1):
+            unit = measure_benchmark_factor(
+                benchmark, bi, factor, config, seed, cost_model
+            )
+            np.testing.assert_array_equal(unit.true_cycles, table.true_cycles[rows, factor - 1])
+            np.testing.assert_array_equal(unit.measured, table.measured[rows, factor - 1])
+        start = rows.stop
 
 
 # ---------------------------------------------------------------------------

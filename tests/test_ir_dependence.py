@@ -133,12 +133,6 @@ class TestGraphQueries:
         assert heights[2] == 2  # fma
         assert heights[3] == 3  # store
 
-    def test_to_networkx_mirrors_edges(self, daxpy_loop):
-        graph = analyze_dependences(daxpy_loop)
-        nx_graph = graph.to_networkx()
-        assert nx_graph.number_of_nodes() == len(daxpy_loop.body)
-        assert nx_graph.number_of_edges() == len(graph.edges)
-
     def test_fan_in_degrees(self, daxpy_loop):
         graph = analyze_dependences(daxpy_loop)
         degrees = graph.fan_in_degrees()

@@ -1,4 +1,4 @@
-"""Fast-vs-reference equivalence and the ``repro.perf`` bench subsystem.
+"""Fast-vs-reference equivalence of the optimized engines.
 
 The performance work keeps every seed code path alive behind
 ``engine="reference"`` switches; these tests pin the optimized engines to
@@ -9,8 +9,6 @@ numbers, not merely approximate them.
 """
 
 import dataclasses
-import json
-import pathlib
 
 import numpy as np
 import pytest
@@ -24,13 +22,6 @@ from repro.ml import (
     greedy_forward_selection,
     mutual_information_score,
     mutual_information_score_reference,
-)
-from repro.perf import (
-    BENCH_SCHEMA_VERSION,
-    BenchConfig,
-    BenchReport,
-    StageTiming,
-    write_report,
 )
 from repro.pipeline import measure_suite_pair
 from repro.simulate.executor import AnalysisCache, CostModel
@@ -270,98 +261,3 @@ class TestGreedyEngineEquivalence:
         with pytest.raises(ValueError):
             greedy_forward_selection(X, y, "nn", n_features=1, engine="warp")
 
-
-class TestBenchReport:
-    def _report(self):
-        timing = StageTiming(
-            stage="measure",
-            reference_seconds=2.0,
-            optimized_seconds=0.5,
-            detail={"n_loops": 3},
-        )
-        return BenchReport(config=BenchConfig(), date="2026-08-07", stages=(timing,))
-
-    def test_speedup(self):
-        assert self._report().stage("measure").speedup == pytest.approx(4.0)
-
-    def test_zero_optimized_time_is_infinite_speedup(self):
-        timing = StageTiming("label", 1.0, 0.0, {})
-        assert timing.speedup == float("inf")
-
-    def test_json_schema(self):
-        payload = self._report().to_json()
-        assert payload["bench_schema_version"] == BENCH_SCHEMA_VERSION
-        assert set(payload) == {
-            "bench_schema_version",
-            "date",
-            "config",
-            "environment",
-            "stages",
-        }
-        assert set(payload["environment"]) == {"python", "numpy", "machine"}
-        stage = payload["stages"][0]
-        assert set(stage) == {
-            "stage",
-            "reference_seconds",
-            "optimized_seconds",
-            "speedup",
-            "detail",
-        }
-        assert stage["speedup"] == pytest.approx(4.0)
-
-    def test_unknown_stage_raises(self):
-        with pytest.raises(KeyError):
-            self._report().stage("deploy")
-
-    def test_write_report_round_trips(self, tmp_path):
-        path = write_report(self._report(), tmp_path)
-        assert path.name == "BENCH_2026-08-07.json"
-        payload = json.loads(path.read_text())
-        assert payload["stages"][0]["stage"] == "measure"
-
-    def test_quick_config_is_smaller(self):
-        quick = BenchConfig.quick_config()
-        full = BenchConfig()
-        assert quick.quick and not full.quick
-        assert quick.loops_scale < full.loops_scale
-        assert quick.subsample < full.subsample
-
-    def test_summary_mentions_every_stage(self):
-        summary = self._report().summary()
-        assert "measure" in summary and "speedup" in summary
-
-
-class TestCheckedInReport:
-    """The repo's newest ``BENCH_<date>.json`` must keep pace with the
-    code: a schema bump without a regenerated report means the checked-in
-    perf data no longer describes what the bench measures."""
-
-    def _latest(self):
-        root = pathlib.Path(__file__).resolve().parent.parent
-        reports = sorted(root.glob("BENCH_*.json"))
-        assert reports, "no checked-in BENCH_<date>.json report"
-        return json.loads(reports[-1].read_text())
-
-    def test_latest_report_is_at_current_schema(self):
-        assert self._latest()["bench_schema_version"] == BENCH_SCHEMA_VERSION
-
-    def test_latest_report_has_multiproc_stage(self):
-        payload = self._latest()
-        stages = {s["stage"]: s for s in payload["stages"]}
-        assert "multiproc" in stages
-        detail = stages["multiproc"]["detail"]
-        assert detail["predictions_match"] is True
-        assert detail["balanced"] is True
-        assert detail["cpus"] >= 1
-        assert set(map(int, detail["runs"])) == set(detail["worker_counts"])
-
-    def test_latest_report_has_lifecycle_stage(self):
-        payload = self._latest()
-        stages = {s["stage"]: s for s in payload["stages"]}
-        assert "lifecycle" in stages
-        detail = stages["lifecycle"]["detail"]
-        assert detail["promotion_atomic"] is True
-        assert detail["rollback_ok"] is True
-        assert detail["canary_accepted"] is True
-        assert detail["has_fingerprint"] is True
-        assert detail["drift_lines_per_s"] > 0
