@@ -465,7 +465,11 @@ def cmd_serve(args) -> int:
             f"{args.model} ({'; '.join(loaded.failures)})",
             file=sys.stderr,
         )
-    engine = PredictionEngine(loaded.artifact, classifier=args.classifier)
+    from repro.instrument import MeasurementRollup
+
+    engine = PredictionEngine(
+        loaded.artifact, classifier=args.classifier, rollup=MeasurementRollup()
+    )
     source = open(args.input) if args.input else sys.stdin
     try:
         lines = source.readlines()

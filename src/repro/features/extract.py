@@ -18,6 +18,7 @@ from repro.machine.model import MachineModel
 from repro.features.catalog import N_FEATURES
 from repro.sched.list_scheduler import list_schedule
 from repro.sched.modulo import recurrence_mii, resource_mii
+from repro.sched.precompute import SchedPrecomp
 from repro.sched.regpressure import max_live
 
 
@@ -25,7 +26,10 @@ def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray
     """The 38-feature vector of one loop (float64, catalog order)."""
     body = loop.body
     deps = analyze_dependences(loop)
-    schedule = list_schedule(deps, machine)
+    # One set of scheduling tables serves the list schedule and both MII
+    # bounds (the tables are pure data; each would otherwise build its own).
+    pre = SchedPrecomp.build(deps, machine)
+    schedule = list_schedule(deps, machine, pre=pre)
     pressure = max_live(deps, schedule)
     heights = deps.dependence_heights()
     fan_in = deps.fan_in_degrees()
@@ -108,8 +112,8 @@ def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray
     vector[32] = machine.code_bytes(n_ops)
     vector[33] = n_mem / n_ops if n_ops else 0.0
     vector[34] = n_fp / n_ops if n_ops else 0.0
-    vector[35] = resource_mii(deps, machine)
-    vector[36] = recurrence_mii(deps, machine)
+    vector[35] = resource_mii(deps, machine, pre=pre)
+    vector[36] = recurrence_mii(deps, machine, pre=pre)
     vector[37] = 1.0 if loop.has_early_exit else 0.0
     return vector
 

@@ -6,9 +6,10 @@ families on the same 38 features.  This module combines all four — NN,
 pairwise LS-SVM, the NumPy MLP, and the bagged random forest — into one
 calibrated predictor:
 
-* every family exposes a per-class probability distribution
-  (``predict_proba`` over its ``classes_``), aligned here onto the global
-  class set;
+* every family exposes one inference routine, ``infer``, returning its
+  labels and its per-class probability distribution (over its
+  ``classes_``) from a single pass; the distribution is aligned here onto
+  the global class set;
 * each family's distribution is **temperature-calibrated**: a single
   scalar ``T`` per family, fit by minimising held-out negative
   log-likelihood on cross-validation folds (Platt-style post-hoc
@@ -67,11 +68,13 @@ def family_factories(seed: int = 0) -> dict:
     }
 
 
-def aligned_proba(classifier, X: np.ndarray, classes: np.ndarray) -> np.ndarray:
-    """A member's ``predict_proba`` mapped onto the global class columns
-    (zero probability for classes the member never saw)."""
-    member_classes = np.asarray(classifier.classes_)
-    proba = np.asarray(classifier.predict_proba(X), dtype=np.float64)
+def align_proba(
+    proba: np.ndarray, member_classes: np.ndarray, classes: np.ndarray
+) -> np.ndarray:
+    """A member's distribution over its ``member_classes`` mapped onto the
+    global class columns (zero probability for classes it never saw)."""
+    proba = np.asarray(proba, dtype=np.float64)
+    member_classes = np.asarray(member_classes)
     if len(member_classes) == len(classes) and np.array_equal(member_classes, classes):
         return proba
     out = np.zeros((len(proba), len(classes)))
@@ -152,33 +155,29 @@ class CalibratedEnsemble:
 
     # ------------------------------------------------------------------
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """The combined calibrated distribution over :attr:`classes`."""
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        total = np.zeros((len(X), len(self.classes)))
-        weight_sum = 0.0
-        for family in self.families:
-            weight = self.weights[family]
-            proba = aligned_proba(self.members[family], X, self.classes)
-            total += weight * calibrate_proba(proba, self.temperatures[family])
-            weight_sum += weight
-        return total / weight_sum
-
     def predict_detail(self, X: np.ndarray) -> EnsemblePrediction:
         """Labels, confidence, combined distribution, per-family votes.
 
-        With a single enabled family the label is exactly that family's
-        ``predict`` output (private tie-breaks included); with several,
-        the combined distribution's argmax decides (first class wins
-        ties).  Confidence is always the combined probability mass of the
-        chosen label.
+        Each family runs its inference routine once, which yields both
+        its labels (the votes) and its distribution.  With a single
+        enabled family the label is exactly that family's ``predict``
+        output (private tie-breaks included); with several, the combined
+        distribution's argmax decides (first class wins ties).  Confidence
+        is always the combined probability mass of the chosen label.
         """
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        votes = {
-            family: np.asarray(self.members[family].predict(X), dtype=np.int64)
-            for family in self.families
-        }
-        proba = self.predict_proba(X)
+        votes = {}
+        total = np.zeros((len(X), len(self.classes)))
+        weight_sum = 0.0
+        for family in self.families:
+            member = self.members[family]
+            labels, proba = member.infer(X)
+            votes[family] = np.asarray(labels, dtype=np.int64)
+            weight = self.weights[family]
+            aligned = align_proba(proba, member.classes_, self.classes)
+            total += weight * calibrate_proba(aligned, self.temperatures[family])
+            weight_sum += weight
+        proba = total / weight_sum
         if len(self.families) == 1:
             labels = votes[self.families[0]]
         else:
@@ -188,6 +187,10 @@ class CalibratedEnsemble:
         return EnsemblePrediction(
             labels=labels, confidence=confidence, proba=proba, votes=votes
         )
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """The combined calibrated distribution over :attr:`classes`."""
+        return self.predict_detail(X).proba
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         return self.predict_detail(X).labels
@@ -259,12 +262,9 @@ def train_calibrated_ensemble(
             for family in families:
                 model = factories[family]()
                 model.fit(X[mask], y[mask])
-                oof_proba[family][test_rows] = aligned_proba(
-                    model, X[test_rows], classes
-                )
-                oof_labels[family][test_rows] = np.asarray(
-                    model.predict(X[test_rows]), dtype=np.int64
-                )
+                labels, proba = model.infer(X[test_rows])
+                oof_proba[family][test_rows] = align_proba(proba, model.classes_, classes)
+                oof_labels[family][test_rows] = np.asarray(labels, dtype=np.int64)
         accuracy = {
             f: float((oof_labels[f] == y).mean()) for f in families
         }

@@ -201,8 +201,10 @@ class MLPClassifier:
 
     # ------------------------------------------------------------------
 
-    def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        """Row-wise class distribution over :attr:`classes_`.
+    def infer(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Labels and row-wise class distribution over :attr:`classes_`
+        from one forward pass (the label is the most probable class;
+        first class wins ties).
 
         Inference avoids ``@``: BLAS picks different accumulation kernels
         for different row counts (gemv vs gemm blocking), which moves the
@@ -218,11 +220,16 @@ class MLPClassifier:
         h = self._normalizer.transform(X)
         for w, b in zip(self._weights[:-1], self._biases[:-1]):
             h = np.tanh(np.einsum("ij,jk->ik", h, w) + b)
-        return softmax(np.einsum("ij,jk->ik", h, self._weights[-1]) + self._biases[-1])
+        proba = softmax(np.einsum("ij,jk->ik", h, self._weights[-1]) + self._biases[-1])
+        return self._classes[np.argmax(proba, axis=1)], proba
+
+    def predict_proba(self, X: np.ndarray) -> np.ndarray:
+        """Row-wise class distribution over :attr:`classes_`."""
+        return self.infer(X)[1]
 
     def predict(self, X: np.ndarray) -> np.ndarray:
         """Most probable class per row (first class wins ties)."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+        return self.infer(X)[0]
 
     # ------------------------------------------------------------------
     # Persistence (consumed by repro.registry model artifacts).

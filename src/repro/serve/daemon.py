@@ -59,7 +59,6 @@ import threading
 import time
 from pathlib import Path
 
-from repro.instrument.report import MeasurementRollup
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
 from repro.registry.artifact import ArtifactStore, load_or_quarantine
@@ -307,7 +306,6 @@ class ServeDaemon:
         self.loaded = load_serving_artifact(model_path, store=self._store, machine=machine)
         self.checksum = _file_checksum(self.loaded.path)
         self._artifact_mtime = self.loaded.path.stat().st_mtime
-        self.rollup = MeasurementRollup()
         self.gateway = ServeGateway(
             self._build_replicas(self.loaded.artifact),
             GatewayConfig(
@@ -351,10 +349,11 @@ class ServeDaemon:
         self._peers: tuple[tuple[int, str, int], ...] = ()
 
     def _build_replicas(self, artifact) -> tuple[PredictionEngine, ...]:
-        """N engines over one immutable artifact — shared weights, shared
-        rollup, no copies."""
+        """N engines over one immutable artifact — shared weights, no
+        copies, and no per-request record (the daemon runs unbounded
+        traffic; its counters and the request log are the record)."""
         return tuple(
-            PredictionEngine(artifact, classifier=self.config.classifier, rollup=self.rollup)
+            PredictionEngine(artifact, classifier=self.config.classifier)
             for _ in range(self.config.replicas)
         )
 

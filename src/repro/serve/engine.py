@@ -18,12 +18,14 @@ probability of the chosen factor) and ``votes`` (per-family factors) — **every
 comes back as a response; the engine never raises on bad input, so one
 poisoned request cannot take down a batch.
 
-Each request is timed and recorded into a
-:class:`~repro.instrument.MeasurementRollup` (one unit per request,
-``seconds`` = latency), which gives the CLI p50/p95/p99 latency and
-requests-per-second for free.  Batches fan out over a thread pool —
-prediction is pure NumPy on immutable state, so requests are trivially
-parallel — and responses always come back in request order.
+Each request is timed; an engine given a
+:class:`~repro.instrument.MeasurementRollup` records one unit per request
+(``seconds`` = latency), which gives the CLI's batch path p50/p95/p99
+latency and requests-per-second for free.  An engine without one keeps no
+per-request record, so a long-running daemon does not grow with traffic.
+Batches fan out over a thread pool — prediction is pure NumPy on immutable
+state, so requests are trivially parallel — and responses always come back
+in request order.
 """
 
 from __future__ import annotations
@@ -116,7 +118,8 @@ class PredictionEngine:
             raise ValueError(f"unknown classifier {classifier!r}")
         self.artifact = artifact
         self.default_classifier = classifier
-        self.rollup = rollup if rollup is not None else MeasurementRollup()
+        #: Per-request latency record (``None``: keep none).
+        self.rollup = rollup
         # Resolve each classifier's heuristic once; every request (and the
         # vectorized batch path) reads this immutable table instead of
         # re-asking the artifact per prediction.
@@ -262,6 +265,8 @@ class PredictionEngine:
     # ------------------------------------------------------------------
 
     def _record(self, factor: int, n_loops: int, seconds: float) -> None:
+        if self.rollup is None:
+            return
         self.rollup.record(
             UnitTiming(
                 benchmark="serve",

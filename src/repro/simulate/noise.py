@@ -109,16 +109,6 @@ class NoiseModel:
             np.array([float(true_cycles)]), np.array([entry_count]), rng, n
         )[0]
 
-    def median_measurement(
-        self,
-        true_cycles: float,
-        entry_count: int,
-        rng: np.random.Generator,
-        n: int = 30,
-    ) -> float:
-        """The paper's protocol: report the median of ``n`` measurements."""
-        return float(np.median(self.samples(true_cycles, entry_count, rng, n)))
-
 
 #: Noise-free measurements — used by tests that need exact arithmetic.
 NOISELESS = NoiseModel(sigma=0.0, outlier_rate=0.0, counter_overhead=0)

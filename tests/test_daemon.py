@@ -6,11 +6,13 @@ Every test runs a real asyncio TCP server on an ephemeral port via
 the same way an external client would.
 """
 
+import collections
 import dataclasses
 import json
 import socket
 import threading
 import time
+import types
 
 import pytest
 
@@ -340,6 +342,50 @@ class TestClassifierFamilies(DaemonHarness):
         assert response["id"] == 9
         assert response["error"]["type"] == ERROR_MALFORMED_REQUEST
         assert "xgboost" in response["error"]["message"]
+
+
+def _retained_items(root) -> int:
+    """Container entries reachable from ``root`` through instance
+    attributes and containers (classes, modules and functions are not
+    followed: they are program, not state)."""
+    skip = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType)
+    seen, stack, total = set(), [root], 0
+    while stack:
+        obj = stack.pop()
+        if id(obj) in seen or isinstance(obj, skip):
+            continue
+        seen.add(id(obj))
+        if isinstance(obj, dict):
+            items = list(obj.items())
+            total += len(items)
+            stack.extend(value for item in items for value in item)
+        elif isinstance(obj, (list, tuple, set, frozenset, collections.deque)):
+            items = list(obj)
+            total += len(items)
+            stack.extend(items)
+        elif hasattr(obj, "__dict__"):
+            stack.append(vars(obj))
+    return total
+
+
+class TestBoundedState(DaemonHarness):
+    def test_retained_state_does_not_grow_with_requests(self, store, dataset):
+        """A daemon serves unbounded traffic, so nothing it holds may grow
+        with the number of requests it has answered."""
+
+        def serve(client, n):
+            for i in range(n):
+                row = i % len(dataset.X)
+                assert client.ask({"id": i, "features": _features(dataset, row)})["ok"]
+
+        with self._run(store) as daemon:
+            client = _Client(daemon.address)
+            serve(client, 20)  # warm-up: lazily built state settles
+            before = _retained_items(daemon)
+            serve(client, 200)
+            after = _retained_items(daemon)
+            client.close()
+        assert after - before < 20
 
 
 class TestHealthz:

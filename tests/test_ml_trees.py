@@ -57,6 +57,13 @@ class TestDecisionTree:
             DecisionTree(max_features=0)
 
 
+def _permuted(forest: RandomForest, order) -> RandomForest:
+    """The same fitted trees in another order (restored, never refit)."""
+    state = forest.get_state()
+    state["trees"] = [state["trees"][i] for i in order]
+    return RandomForest.from_state(state)
+
+
 class TestRandomForest:
     def test_same_seed_same_forest(self):
         X, y = _separable()
@@ -73,8 +80,7 @@ class TestRandomForest:
         before = forest.predict_proba(X)
         rng = np.random.default_rng(42)
         for _ in range(3):
-            forest._trees = [forest._trees[i] for i in rng.permutation(len(forest._trees))]
-            after = forest.predict_proba(X)
+            after = _permuted(forest, rng.permutation(12)).predict_proba(X)
             assert before.tobytes() == after.tobytes()
 
     def test_proba_rows_are_distributions(self):
@@ -129,5 +135,5 @@ class TestRandomForest:
     def test_permutation_invariance_on_any_dataset(self, dataset):
         forest = RandomForest(n_trees=7, seed=0).fit(dataset.X, dataset.labels)
         before = forest.predict_proba(dataset.X)
-        forest._trees = forest._trees[::-1]
-        assert before.tobytes() == forest.predict_proba(dataset.X).tobytes()
+        reversed_forest = _permuted(forest, np.arange(7)[::-1])
+        assert before.tobytes() == reversed_forest.predict_proba(dataset.X).tobytes()

@@ -152,7 +152,7 @@ class TestNoiseStatistics:
 
         noise = NoiseModel(sigma=sigma, outlier_rate=0.0, counter_overhead=9)
         rng = np.random.default_rng(0)
-        median = noise.median_measurement(cycles, entries, rng, n=31)
+        median = noise.batch_medians(np.array([cycles]), np.array([entries]), rng, n=31)[0]
         base = cycles + entries * 9
         assert base * np.exp(-4 * sigma) <= median <= base * np.exp(4 * sigma)
 

@@ -83,17 +83,18 @@ class TestNoiseModel:
         from repro.simulate import NOISELESS
 
         rng = np.random.default_rng(0)
-        assert NOISELESS.median_measurement(12345.0, 10, rng) == 12345.0
+        assert NOISELESS.batch_medians(np.array([12345.0]), np.array([10]), rng)[0] == 12345.0
 
     def test_counter_overhead_scales_with_entries(self):
         noise = NoiseModel(sigma=0.0, outlier_rate=0.0, counter_overhead=9)
         rng = np.random.default_rng(0)
-        assert noise.median_measurement(1000.0, 100, rng) == 1000.0 + 900.0
+        median = noise.batch_medians(np.array([1000.0]), np.array([100]), rng)[0]
+        assert median == 1000.0 + 900.0
 
     def test_median_tames_outliers(self):
         noise = NoiseModel(sigma=0.0, outlier_rate=0.3, outlier_scale=0.5, counter_overhead=0)
         rng = np.random.default_rng(1)
-        median = noise.median_measurement(1000.0, 1, rng, n=31)
+        median = noise.batch_medians(np.array([1000.0]), np.array([1]), rng, n=31)[0]
         assert median <= 1000.0 * 1.25
 
     def test_samples_reproducible_under_seed(self):
