@@ -160,9 +160,8 @@ class TestRoundTrip:
         must fail loudly (not wrongly) if leave-one-out values are asked
         for."""
         loaded = load_artifact(saved)
-        machine = next(iter(loaded.svm.classifier._machines.values()))
         with pytest.raises(RuntimeError, match="restored from an artifact"):
-            machine.loo_decision_values()
+            loaded.svm.classifier.loocv_predictions()
 
 
 def _rewrite_with_manifest(source: Path, target: Path, mutate) -> None:
