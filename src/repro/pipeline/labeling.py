@@ -36,6 +36,7 @@ so a killed run resumes bit-identically.
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import time
 from dataclasses import dataclass, field
@@ -384,6 +385,42 @@ def measure_class_pair(
     return off, on
 
 
+def _run_labelling_units(tasks, jobs, resilience, journal, encode, decode):
+    """:func:`run_units` for one labelling run, with the cyclic garbage
+    collector paused.
+
+    Labelling creates no reference cycles, so every collection during a
+    run is pure cost: it walks the growing heap of live analyses and finds
+    nothing.  The pause covers the whole run, not each unit (re-enabling
+    between units still triggers most of the collections), and sits here
+    in the ``measure_suite*`` path rather than in ``run_units``, which
+    other callers run from threads.  The caller's collector state is
+    restored on every exit.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return run_units(
+            tasks,
+            jobs=jobs,
+            config=resilience or DEFAULT_RESILIENCE,
+            journal=journal,
+            encode=encode,
+            decode=decode,
+            initializer=_init_labelling_worker,
+        )
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _init_labelling_worker() -> None:
+    """Pool initializer: fresh shared cost models, and no cyclic garbage
+    collection for the worker's life (workers end with the run)."""
+    reset_shared_cost_models()
+    gc.disable()
+
+
 def _unit_seeds(seed: int, n_benchmarks: int) -> list[list[np.random.SeedSequence]]:
     """One SeedSequence child per (benchmark, factor) work unit."""
     root = np.random.SeedSequence(seed)
@@ -620,14 +657,8 @@ def measure_suite(
         for bi, benchmark in enumerate(benchmarks)
         for factor in range(1, MAX_UNROLL + 1)
     ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=unit_to_json,
-        decode=unit_from_json,
-        initializer=reset_shared_cost_models,
+    report = _run_labelling_units(
+        tasks, jobs, resilience, journal, unit_to_json, unit_from_json
     )
     if rollup is not None:
         rollup.events.extend(report.events)
@@ -670,14 +701,8 @@ def _measure_suite_dedup(
         )
         for ci, cls in enumerate(index.classes)
     ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=class_unit_to_json,
-        decode=class_unit_from_json,
-        initializer=reset_shared_cost_models,
+    report = _run_labelling_units(
+        tasks, jobs, resilience, journal, class_unit_to_json, class_unit_from_json
     )
     results = _fan_out(suite, config, index, report.results, seeds)
     if rollup is not None:
@@ -753,14 +778,8 @@ def measure_suite_pair(
         for bi, benchmark in enumerate(benchmarks)
         for factor in range(1, MAX_UNROLL + 1)
     ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=_pair_to_json,
-        decode=_pair_from_json,
-        initializer=reset_shared_cost_models,
+    report = _run_labelling_units(
+        tasks, jobs, resilience, journal, _pair_to_json, _pair_from_json
     )
     results_off = {key: pair[0] for key, pair in report.results.items()}
     results_on = {key: pair[1] for key, pair in report.results.items()}
@@ -829,14 +848,8 @@ def _measure_suite_pair_dedup(
         )
         for ci, cls in enumerate(index.classes)
     ]
-    report = run_units(
-        tasks,
-        jobs=jobs,
-        config=resilience or DEFAULT_RESILIENCE,
-        journal=journal,
-        encode=_class_pair_to_json,
-        decode=_class_pair_from_json,
-        initializer=reset_shared_cost_models,
+    report = _run_labelling_units(
+        tasks, jobs, resilience, journal, _class_pair_to_json, _class_pair_from_json
     )
     class_off = {ci: pair[0] for ci, pair in report.results.items()}
     class_on = {ci: pair[1] for ci, pair in report.results.items()}

@@ -16,6 +16,22 @@ experimental regime ("SWP enabled") its character:
 * **IMS** — iterative modulo scheduling with ejection and a scheduling
   budget, falling back to a higher II when placement fails.
 
+Most failing II attempts do not thrash at random until the budget runs
+out: they settle into a *drift*, where a set ``D`` of ops is re-placed
+over and over, each op exactly ``c = m * II`` cycles later per round,
+while every other op stays put.  The table-driven attempt detects this
+with Brent-style snapshots of ``(start, last_tried, placed_kind,
+worklist)`` taken at iterations 1, 2, 4, 8, ... and returns ``None``
+early when the current state is such a shift of the snapshot
+(:func:`_drift_repeats` lists the conditions).  The exit is exact, not a
+heuristic.  A shift by a multiple of II leaves every reservation row
+where it was.  The conditions make sure that the ``0`` floor and the
+constraints from ops outside ``D`` never bind on an op of ``D``, and that
+no op of ``D`` can eject an op outside it.  Every decision of the next
+round is therefore the previous round's decision shifted by ``c``, so
+the round repeats forever.  Its worklist is never empty, and the budget
+would have run out and returned ``None`` anyway.
+
 Two implementations coexist.  The public entry points run on
 :class:`~repro.sched.precompute.SchedPrecomp` integer tables (built on the
 fly when the caller does not supply one) and avoid all per-query enum
@@ -54,7 +70,14 @@ class ModuloSchedule:
 
     @property
     def mii(self) -> int:
-        return max(-(-int(self.res_mii * 1000) // 1000), self.rec_mii, 1)
+        return integer_mii(self.res_mii, self.rec_mii)
+
+
+def integer_mii(res_mii: float, rec_mii: int) -> int:
+    """The II search's starting point: the fractional ResMII rounded up at
+    a 1e-6 resolution (so float noise below it adds no cycle), RecMII, and
+    at least 1."""
+    return max(-(-int(res_mii * 1_000_000) // 1_000_000), rec_mii, 1)
 
 
 class ModuloScheduleError(RuntimeError):
@@ -232,7 +255,7 @@ def modulo_schedule(
         pre = SchedPrecomp.build(deps, machine)
     res = resource_mii(deps, machine, pre)
     rec = recurrence_mii(deps, machine, pre)
-    mii = max(-(-int(res * 1_000_000) // 1_000_000), rec, 1)
+    mii = integer_mii(res, rec)
     n = pre.n
     for ii in range(mii, mii + ii_budget):
         start = _try_ii_tables(pre, ii, budget=max(64, n * 10))
@@ -251,7 +274,10 @@ def _try_ii_tables(pre: SchedPrecomp, ii: int, budget: int):
     Decision-for-decision identical to the reference :func:`_try_ii`:
     same scheduling order, same time-slot search, same unit-option order,
     same ejection scans.  Only the data representation differs (flat lists
-    and FU indices instead of enum-keyed dicts and IR lookups).
+    and FU indices instead of enum-keyed dicts and IR lookups), and an
+    attempt that has settled into a drift returns ``None`` as soon as the
+    drift is detected instead of when its budget runs out (see the module
+    docstring): the result is the same.
     """
     n = pre.n
     occ_t = pre.occ
@@ -269,10 +295,28 @@ def _try_ii_tables(pre: SchedPrecomp, ii: int, budget: int):
     worklist = deque(pre.order)
     pop = worklist.popleft
     push = worklist.append
+    # Drift detection: a snapshot at iterations 1, 2, 4, 8, ..., compared
+    # whenever the worklist's length and head match it.
+    iteration = 0
+    snapshot_at = 1
+    snapshot = None
+    snapshot_len = snapshot_head = -1
     while worklist:
         if budget <= 0:
             return None
         budget -= 1
+        iteration += 1
+        if iteration == snapshot_at:
+            snapshot = (start[:], last_tried[:], placed_kind[:], list(worklist))
+            snapshot_len = len(worklist)
+            snapshot_head = worklist[0]
+            snapshot_at <<= 1
+        elif (
+            len(worklist) == snapshot_len
+            and worklist[0] == snapshot_head
+            and _drift_repeats(pre, ii, snapshot, start, last_tried, placed_kind, worklist)
+        ):
+            return None
         i = pop()
         lo = 0
         for j, lat, dist in preds[i]:
@@ -421,6 +465,75 @@ def _try_ii_tables(pre: SchedPrecomp, ii: int, budget: int):
     return [int(s) for s in start]
 
 
+def _drift_repeats(
+    pre: SchedPrecomp, ii: int, snapshot, start, last_tried, placed_kind, worklist
+) -> bool:
+    """Whether the attempt's state is the ``snapshot`` state with a set
+    ``D`` of ops drifted ``c`` cycles later, so that it repeats forever.
+
+    ``D`` is the ops whose ``last_tried`` moved since the snapshot (every
+    op popped in between, since each pop raises it).  All of these hold:
+
+    (a) the worklist and ``placed_kind`` equal the snapshot's;
+    (b) every op of ``D`` moved by one ``c > 0`` with ``c % ii == 0``, in
+        ``last_tried`` and in ``start`` (an unplaced op stays unplaced);
+    (c) every other op kept its ``start`` (an op outside ``D`` was never
+        popped, so in a state the attempt reaches this already follows
+        from (a); checking it keeps the argument independent of that);
+    (d) every op of ``D`` had ``last_tried >= 0`` at the snapshot, so the
+        ``0`` floor of its earliest start never binds;
+    (e) no successor edge leads from ``D`` to a placed op outside ``D``,
+        so no op outside ``D`` is ever ejected;
+    (f) every edge into ``i`` in ``D`` from a placed op ``j`` outside ``D``
+        gives ``start[j] + lat - ii * dist <= last_tried_snapshot[i] + 1``,
+        so it never binds on ``i``'s next try.
+    """
+    snap_start, snap_last, snap_kind, snap_work = snapshot
+    if placed_kind != snap_kind or list(worklist) != snap_work:
+        return False
+    n = pre.n
+    shift = 0
+    in_drift = [False] * n
+    drift = []
+    for i in range(n):
+        moved = last_tried[i] - snap_last[i]
+        si = start[i]
+        snap_si = snap_start[i]
+        if moved == 0:
+            if si != snap_si:
+                return False
+            continue
+        if snap_last[i] < 0:
+            return False
+        if shift == 0:
+            if moved <= 0 or moved % ii:
+                return False
+            shift = moved
+        elif moved != shift:
+            return False
+        if si is None:
+            if snap_si is not None:
+                return False
+        elif snap_si is None or si - snap_si != shift:
+            return False
+        in_drift[i] = True
+        drift.append(i)
+    succs = pre.succs
+    preds = pre.preds
+    for i in drift:
+        for j, _, _ in succs[i]:
+            if not in_drift[j] and start[j] is not None:
+                return False
+        bound = snap_last[i] + 1
+        for j, lat, dist in preds[i]:
+            if in_drift[j]:
+                continue
+            sj = start[j]
+            if sj is not None and sj + lat - ii * dist > bound:
+                return False
+    return shift > 0
+
+
 # ----------------------------------------------------------------------
 # Reference implementation (pre-SchedPrecomp, retained verbatim).
 #
@@ -565,7 +678,7 @@ def modulo_schedule_reference(
     """Find a kernel schedule, searching IIs upward from MII."""
     res = resource_mii_reference(deps, machine)
     rec = recurrence_mii_reference(deps, machine)
-    mii = max(-(-int(res * 1_000_000) // 1_000_000), rec, 1)
+    mii = integer_mii(res, rec)
     n = len(deps.body)
     for ii in range(mii, mii + ii_budget):
         start = _try_ii(deps, machine, ii, budget=max(64, n * 10))

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.ir.dependence import DependenceGraph, edge_latency
+from repro.ir.dependence import DepKind, DependenceGraph
 from repro.ir.types import FUKind
 from repro.machine.model import MachineModel
 
@@ -39,6 +39,11 @@ from repro.machine.model import MachineModel
 FU_ORDER: tuple[FUKind, ...] = tuple(FUKind)
 FU_INDEX: dict[FUKind, int] = {kind: idx for idx, kind in enumerate(FU_ORDER)}
 N_FU_KINDS = len(FU_ORDER)
+
+_FLOW = DepKind.FLOW
+_MEM_FLOW = DepKind.MEM_FLOW
+_MEM_OUTPUT = DepKind.MEM_OUTPUT
+_MEM_MAY = DepKind.MEM_MAY
 
 
 @dataclass(frozen=True)
@@ -118,22 +123,29 @@ class SchedPrecomp:
         succs0: list[list[tuple[int, int]]] = [[] for _ in range(n)]
         preds0_count = [0] * n
         carried: list[tuple[int, int, int, int]] = []
-        edge_lat = {}
+        # One pass in edge order: the graph fills its adjacency lists in
+        # the same order, so every neighbour list matches ``deps.succs`` /
+        # ``deps.preds``.  Latencies follow
+        # :func:`~repro.ir.dependence.edge_latency`, with the producer's
+        # latency read from ``lat`` (no per-edge hashing).
         for edge in deps.edges:
-            edge_lat[edge] = edge_latency(edge, body, machine)
-        for i in range(n):
-            for j, edge in deps.succs[i]:
-                elat = edge_lat[edge]
-                succs[i].append((j, elat, edge.distance))
-                if edge.distance == 0:
-                    succs0[i].append((j, elat))
-            for j, edge in deps.preds[i]:
-                preds[i].append((j, edge_lat[edge], edge.distance))
-                if edge.distance == 0:
-                    preds0_count[i] += 1
-        for edge in deps.edges:
-            if edge.distance >= 1:
-                carried.append((edge.src, edge.dst, edge_lat[edge], edge.distance))
+            src = edge.src
+            dst = edge.dst
+            dist = edge.distance
+            kind = edge.kind
+            if kind is _FLOW or kind is _MEM_FLOW:
+                elat = lat[src]
+            elif kind is _MEM_OUTPUT or kind is _MEM_MAY:
+                elat = 1
+            else:
+                elat = 0
+            succs[src].append((dst, elat, dist))
+            preds[dst].append((src, elat, dist))
+            if dist == 0:
+                succs0[src].append((dst, elat))
+                preds0_count[dst] += 1
+            elif dist >= 1:
+                carried.append((src, dst, elat, dist))
 
         # Latency-weighted height over the distance-0 DAG (body order is a
         # topological order for distance-0 edges, so one reverse pass works).

@@ -25,7 +25,12 @@ Costing splits into two stages:
   share one analysis per configuration.
 * **Scheduling** — the per-regime part: list scheduling plus steady-state
   and spill terms, or modulo scheduling when SWP is on and the part is
-  eligible.  Cheap relative to analysis, and never cached.
+  eligible.  The list schedule's two scalars (steady-state cycles and
+  register pressure) are the same in both regimes, so each analysis entry
+  carries a small mutable cell for them (:class:`_SchedCell`): the SWP-on
+  regime reuses the SWP-off regime's scalars for remainders and for mains
+  it does not pipeline, and recomputes only the trailing float arithmetic.
+  Modulo schedules are never cached.
 
 ``engine="reference"`` bypasses both the cache and the table-driven
 schedulers, running the original single-stage path — the oracle the
@@ -49,11 +54,9 @@ individually proven bit-identical to the from-scratch path:
   their base offset, and dependence distances, scheduler tables, and
   register pressure are all shift-invariant, so one factor's remainder
   analysis serves them all;
-* **scheduling-scalar cells** — the list scheduler's steady-state cycles
-  and pressure estimate for one analysis entry are stored in a small
-  mutable cell on the entry, so the second regime (and every factor that
-  shares a remainder) skips the schedule and recomputes only the trailing
-  float arithmetic, in the original operation order.
+* **shared scheduling-scalar cells** — every factor whose remainder is
+  shared also shares that remainder's scheduling-scalar cell, so the list
+  schedule runs once per loop's remainder rather than once per entry.
 
 All reuse sits *below* :meth:`CostModel.analyze`'s cache lookup, so cache
 verification (and the ``analysis.poison`` fault) behave identically.
@@ -132,8 +135,9 @@ class _SchedCell:
     schedule that survive into the cost; the trailing float arithmetic
     (spill cap, period, trip multiply) is recomputed per query in the
     original operation order, so a cell hit is bit-identical to a fresh
-    schedule.  Only the incremental engine creates cells; entries built by
-    the fast engine carry ``None`` and schedule every time.
+    schedule.  Both the fast and the incremental engine attach a cell to
+    every part they analyse: the second SWP regime reuses the first one's
+    scalars for remainders and for mains it does not pipeline.
     """
 
     __slots__ = ("value",)
@@ -358,6 +362,8 @@ class CostModel:
         self._stores: "OrderedDict[str, _LoopStore]" = OrderedDict()
         self._store_cap = 1024
         self._overlap_memo: dict = {}
+        # Reuse counters: the incremental engine's mechanisms, plus the
+        # scheduling-scalar cells that the fast engine uses too.
         self.incremental_hits = 0
         self.incremental_misses = 0
 
@@ -397,12 +403,15 @@ class CostModel:
         bw_floor = self._bandwidth_floor(loop)
         result = optimize_for_factor(loop, factor, self.plan)
         main_deps = main_pre = rem_deps = rem_pre = None
+        main_cell = rem_cell = None
         if result.main is not None:
             main_deps = analyze_dependences(result.main)
             main_pre = SchedPrecomp.build(main_deps, machine)
+            main_cell = _SchedCell()
         if result.remainder is not None:
             rem_deps = analyze_dependences(result.remainder)
             rem_pre = SchedPrecomp.build(rem_deps, machine)
+            rem_cell = _SchedCell()
         return LoopAnalysis(
             loop=loop,
             base_machine=self.machine,
@@ -413,6 +422,8 @@ class CostModel:
             main_pre=main_pre,
             rem_deps=rem_deps,
             rem_pre=rem_pre,
+            main_cell=main_cell,
+            rem_cell=rem_cell,
         )
 
     # ------------------------------------------------------------------

@@ -16,6 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.instrument import MeasurementRollup
 from repro.ir.builder import LoopBuilder
+from repro.ir.dependence import (
+    DepEdge,
+    DependenceGraph,
+    DepKind,
+    analyze_dependences,
+    edge_latency,
+)
 from repro.ir.loop import TripInfo
 from repro.ir.types import Opcode
 from repro.ml import (
@@ -23,10 +30,12 @@ from repro.ml import (
     mutual_information_score,
     mutual_information_score_reference,
 )
+from repro.machine import ITANIUM2, NARROW
 from repro.pipeline import measure_suite_pair
+from repro.sched.precompute import SchedPrecomp
 from repro.simulate.executor import AnalysisCache, CostModel
 from repro.simulate.noise import DEFAULT_NOISE
-from repro.transforms.pipeline import OptimizationPlan
+from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
 
 from tests.strategies import random_loops
 
@@ -80,6 +89,57 @@ class TestCostModelEquivalence:
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
             CostModel(engine="turbo")
+
+
+def _assert_tables_follow_the_graph(deps, machine):
+    """The one-pass table build equals the graph's own adjacency lists,
+    edge for edge and in order, with :func:`edge_latency`."""
+    pre = SchedPrecomp.build(deps, machine)
+
+    def lat(edge):
+        return edge_latency(edge, deps.body, machine)
+
+    assert pre.succs == tuple(
+        tuple((j, lat(e), e.distance) for j, e in row) for row in deps.succs
+    )
+    assert pre.preds == tuple(
+        tuple((j, lat(e), e.distance) for j, e in row) for row in deps.preds
+    )
+    assert pre.succs0 == tuple(
+        tuple((j, lat(e)) for j, e in row if e.distance == 0) for row in deps.succs
+    )
+    assert pre.preds0_count == tuple(
+        sum(e.distance == 0 for _, e in row) for row in deps.preds
+    )
+    assert pre.carried == tuple(
+        (e.src, e.dst, lat(e), e.distance) for e in deps.edges if e.distance >= 1
+    )
+
+
+class TestSchedPrecompTables:
+    @given(
+        loop=random_loops(),
+        factor=st.integers(1, 8),
+        machine=st.sampled_from([ITANIUM2, NARROW]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_tables_follow_analysed_graphs(self, loop, factor, machine):
+        result = optimize_for_factor(loop, factor, OptimizationPlan())
+        for part in (result.main, result.remainder):
+            if part is not None:
+                _assert_tables_follow_the_graph(analyze_dependences(part), machine)
+
+    def test_tables_follow_every_edge_kind(self, daxpy_loop):
+        body = daxpy_loop.body
+        edges = [
+            DepEdge(src, dst, kind, distance)
+            for src in range(len(body))
+            for dst in range(len(body))
+            for kind in DepKind
+            for distance in (0, 1, 2)
+            if distance or src < dst
+        ]
+        _assert_tables_follow_the_graph(DependenceGraph(body, edges), ITANIUM2)
 
 
 def _named_loop(name, op=Opcode.FADD, trip=32):

@@ -1,19 +1,45 @@
 """Unit tests for the measurement/labelling/evaluation pipeline."""
 
+import dataclasses
+import gc
+
 import numpy as np
 import pytest
 
 from repro.ir.program import Suite
+from repro.ir.types import MAX_UNROLL
 from repro.pipeline import (
     EvaluationConfig,
     LabelingConfig,
     evaluate_speedups,
     label_suite,
     measure_suite,
+    measure_suite_pair,
     stats_from_table,
 )
+from repro.pipeline import labeling
 from repro.pipeline.cache import build_artifacts, config_key
+from repro.pipeline.labeling import (
+    measure_benchmark_factor,
+    measure_benchmark_factor_pair,
+    measure_class,
+    measure_class_pair,
+)
+from repro.resilience import (
+    AbortRun,
+    FaultPlan,
+    FaultRule,
+    ResilienceConfig,
+    RetryPolicy,
+    fault_plan,
+)
 from repro.simulate import NOISELESS, NoiseModel
+from repro.simulate.executor import AnalysisCache, CostModel
+
+#: Retries that never sleep for real.
+_FAST_RETRIES = ResilienceConfig(
+    retry=RetryPolicy(max_attempts=2, base_delay_s=0.001, max_delay_s=0.002)
+)
 
 
 class TestMeasurementTable:
@@ -156,3 +182,130 @@ class TestCache:
         np.testing.assert_array_equal(first.table.measured, second.table.measured)
         assert warm < cold
         assert any(tmp_path.glob("measurements_*.npz"))
+
+
+class TestCollectorPause:
+    """Labelling runs with the cyclic garbage collector paused: it creates
+    no reference cycles, and every exit restores the caller's state."""
+
+    @pytest.fixture(scope="class")
+    def two_benchmarks(self, mini_suite):
+        return Suite(name="two", benchmarks=mini_suite.benchmarks[:2])
+
+    @staticmethod
+    def _leaves_no_cycles(run) -> int:
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            run()
+            return gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_units_create_no_cyclic_garbage(self, two_benchmarks, mini_config):
+        on_config = dataclasses.replace(mini_config, swp=True)
+        seeds = np.random.SeedSequence(3).spawn(MAX_UNROLL)
+        benchmarks = list(enumerate(two_benchmarks.benchmarks))
+        loops = [loop for _, bench in benchmarks for loop in bench.loops]
+
+        def per_unit():
+            model = CostModel(machine=mini_config.machine)
+            for bi, bench in benchmarks:
+                for factor in range(1, MAX_UNROLL + 1):
+                    measure_benchmark_factor(
+                        bench, bi, factor, mini_config, seeds[factor - 1], model
+                    )
+
+        def pair_units():
+            shared = AnalysisCache()
+            models = (
+                CostModel(swp=False, analysis=shared),
+                CostModel(swp=True, analysis=shared),
+            )
+            for bi, bench in benchmarks:
+                for factor in range(1, MAX_UNROLL + 1):
+                    measure_benchmark_factor_pair(
+                        bench, bi, factor, mini_config, on_config,
+                        seeds[factor - 1], models,
+                    )
+
+        def class_units():
+            model = CostModel(engine="incremental")
+            for loop in loops:
+                measure_class(loop, loop.name, mini_config, model)
+
+        def class_pair_units():
+            shared = AnalysisCache()
+            models = (
+                CostModel(swp=False, analysis=shared, engine="incremental"),
+                CostModel(swp=True, analysis=shared, engine="incremental"),
+            )
+            for loop in loops:
+                measure_class_pair(loop, loop.name, mini_config, on_config, models)
+
+        for run in (per_unit, pair_units, class_units, class_pair_units):
+            assert self._leaves_no_cycles(run) == 0, run.__name__
+
+    def test_pair_run_restores_an_enabled_collector(self, two_benchmarks, mini_config):
+        assert gc.isenabled()
+        seen = []
+        real_run_units = labeling.run_units
+
+        def spy(*args, **kwargs):
+            seen.append(gc.isenabled())
+            return real_run_units(*args, **kwargs)
+
+        labeling.run_units = spy
+        try:
+            measure_suite_pair(two_benchmarks, mini_config, jobs=1)
+        finally:
+            labeling.run_units = real_run_units
+        assert seen == [False]
+        assert gc.isenabled()
+
+    def test_quarantined_unit_errors_restore_the_collector(
+        self, two_benchmarks, mini_config
+    ):
+        bench = two_benchmarks.benchmarks[0]
+        plan = FaultPlan(
+            rules=(FaultRule(op="unit.error", match=f"{bench.name}:u2#*", times=0),)
+        )
+        with fault_plan(plan):
+            off, _ = measure_suite_pair(
+                two_benchmarks, mini_config, jobs=1, resilience=_FAST_RETRIES
+            )
+        assert np.isnan(off.measured[: bench.n_loops, 1]).all()
+        assert gc.isenabled()
+
+    def test_abort_restores_the_collector(self, two_benchmarks, mini_config):
+        plan = FaultPlan(rules=(FaultRule(op="run.abort", match="*", skip=1),))
+        with fault_plan(plan), pytest.raises(AbortRun):
+            measure_suite_pair(two_benchmarks, mini_config, jobs=1)
+        assert gc.isenabled()
+
+    def test_a_disabled_collector_stays_disabled(self, two_benchmarks, mini_config):
+        gc.disable()
+        try:
+            measure_suite_pair(two_benchmarks, mini_config, jobs=1)
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+
+    def test_pooled_pair_run_is_bit_identical_to_serial(
+        self, two_benchmarks, mini_config
+    ):
+        serial = measure_suite_pair(two_benchmarks, mini_config, jobs=1)
+        pooled = measure_suite_pair(two_benchmarks, mini_config, jobs=2)
+        for a, b in zip(serial, pooled):
+            assert a.measured.tobytes() == b.measured.tobytes()
+            assert a.true_cycles.tobytes() == b.true_cycles.tobytes()
+        assert gc.isenabled()
+
+    def test_pool_workers_run_without_the_collector(self):
+        try:
+            labeling._init_labelling_worker()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()

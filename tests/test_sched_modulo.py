@@ -1,19 +1,36 @@
 """Unit tests for the software pipeliner (modulo scheduling)."""
 
+import dataclasses
+
+import numpy as np
 import pytest
 
 from repro.ir.builder import LoopBuilder
-from repro.ir.dependence import analyze_dependences, edge_latency
+from repro.ir.dependence import (
+    DepEdge,
+    DependenceGraph,
+    DepKind,
+    analyze_dependences,
+    edge_latency,
+)
 from repro.ir.loop import TripInfo
-from repro.ir.types import DType, FUKind, Opcode
+from repro.ir.program import Suite
+from repro.ir.types import MAX_UNROLL, DType, FUKind, Opcode
 from repro.machine import ITANIUM2, NARROW
+from repro.sched import modulo
 from repro.sched.modulo import (
+    ModuloSchedule,
     ModuloScheduleError,
+    integer_mii,
     modulo_schedule,
     recurrence_mii,
     resource_mii,
     swp_register_pressure,
 )
+from repro.sched.precompute import SchedPrecomp
+from repro.simulate.executor import CostModel
+from repro.workloads.generator import generate_benchmark
+from repro.workloads.spec_names import ROSTER
 
 
 def assert_kernel_legal(loop, machine):
@@ -147,3 +164,198 @@ class TestSWPPressure:
         kernel = modulo_schedule(deps, ITANIUM2)
         int_need, fp_need = swp_register_pressure(deps, kernel)
         assert fp_need >= 2
+
+
+class TestIntegerMII:
+    def test_kernel_mii_uses_the_search_rounding(self):
+        # 2.0004 rounds up to 3 at the search's 1e-6 resolution; a coarser
+        # 1e-3 rounding would give 2.
+        assert integer_mii(2.0004, 1) == 3
+        kernel = ModuloSchedule(ii=3, stages=1, start=(0,), res_mii=2.0004, rec_mii=1)
+        assert kernel.mii == 3
+
+    def test_float_noise_below_the_resolution_adds_no_cycle(self):
+        assert integer_mii(2.0000000001, 1) == 2
+        assert integer_mii(1.5, 1) == 2
+        assert integer_mii(0.25, 0) == 1
+        assert integer_mii(1.5, 4) == 4
+
+    def test_search_starts_at_the_kernel_mii(self, daxpy_loop):
+        deps = analyze_dependences(daxpy_loop)
+        kernel = modulo_schedule(deps, ITANIUM2)
+        assert kernel.mii == integer_mii(
+            resource_mii(deps, ITANIUM2), recurrence_mii(deps, ITANIUM2)
+        )
+        assert kernel.ii >= kernel.mii
+
+
+# ----------------------------------------------------------------------
+# The drift exit of the table-driven IMS attempt.
+# ----------------------------------------------------------------------
+
+
+def _hand_built(ops, edges):
+    """A dependence graph over one instruction per opcode in ``ops``, with
+    exactly the ``(src, dst, kind name, distance)`` edges given."""
+    builder = LoopBuilder("hand", TripInfo(runtime=64))
+    body = []
+    for op in ops:
+        if op is Opcode.LOAD:
+            builder.load("a")
+        elif op is Opcode.STORE:
+            builder.store(builder.fconst(1.0), "out")
+        elif op is Opcode.ADD:
+            builder.intop(op, builder.iconst(1), builder.iconst(2))
+        else:
+            builder.fp(op, builder.fconst(1.0), builder.fconst(2.0))
+        body.append(builder._body[-1])
+    return DependenceGraph(
+        tuple(body),
+        [DepEdge(src, dst, DepKind[kind], dist) for src, dst, kind, dist in edges],
+    )
+
+
+class _DriftSpy:
+    """Wraps ``modulo._drift_repeats``: counts the exits it grants and keeps
+    the arguments of each."""
+
+    def __init__(self, monkeypatch):
+        self.fired = []
+        real = modulo._drift_repeats
+
+        def spy(*args):
+            repeats = real(*args)
+            if repeats:
+                pre, ii, snapshot, start, last_tried, placed_kind, worklist = args
+                self.fired.append(
+                    (pre, ii, snapshot, list(start), list(last_tried),
+                     list(placed_kind), list(worklist))
+                )
+            return repeats
+
+        monkeypatch.setattr(modulo, "_drift_repeats", spy)
+
+
+@pytest.fixture(scope="module")
+def ims_attempts():
+    """Every II attempt ``modulo_schedule`` makes on the SWP-eligible
+    unrolled bodies of a small generated suite at factors 1-8, with its
+    result, plus the drift states at which the attempts exited early."""
+    picks = [ROSTER[1], ROSTER[0], ROSTER[28], ROSTER[44], ROSTER[56], ROSTER[64]]
+    seeds = np.random.SeedSequence(1234).spawn(len(picks))
+    suite = Suite(
+        name="drift",
+        benchmarks=tuple(
+            generate_benchmark(info, np.random.default_rng(seed), loops_scale=0.1)
+            for info, seed in zip(picks, seeds)
+        ),
+    )
+    attempts = []
+    real_attempt = modulo._try_ii_tables
+
+    def record(pre, ii, budget):
+        result = real_attempt(pre, ii, budget)
+        attempts.append((pre, ii, budget, result))
+        return result
+
+    with pytest.MonkeyPatch.context() as patch:
+        spy = _DriftSpy(patch)
+        patch.setattr(modulo, "_try_ii_tables", record)
+        model = CostModel(swp=True)
+        for benchmark in suite.benchmarks:
+            for loop in benchmark.loops:
+                for factor in range(1, MAX_UNROLL + 1):
+                    model.loop_cost(loop, factor)
+    return attempts, spy.fired
+
+
+class TestDriftExit:
+    def test_every_attempt_matches_the_reference(self, ims_attempts):
+        attempts, fired = ims_attempts
+        assert any(result is None for _, _, _, result in attempts)
+        for pre, ii, budget, result in attempts:
+            assert result == modulo._try_ii(pre.deps, pre.machine, ii, budget)
+
+    def test_the_exit_fires_on_failing_attempts(self, ims_attempts):
+        attempts, fired = ims_attempts
+        failing = sum(result is None for _, _, _, result in attempts)
+        assert 0 < len(fired) <= failing
+
+    def test_drift_into_a_fixed_successor_does_not_exit(self, monkeypatch):
+        # At II 3, ops 1-6 drift one II per round while op 0 stays at
+        # cycle 0: a shifted repeat except for the edge 4 -> 0 (distance
+        # 3).  Once op 4 passes cycle 8 that edge ejects op 0, and the
+        # attempt then finds a schedule.
+        deps = _hand_built(
+            [Opcode.STORE, Opcode.STORE, Opcode.FMUL, Opcode.FMUL,
+             Opcode.ADD, Opcode.FMUL, Opcode.ADD],
+            [(2, 3, "FLOW", 1), (5, 1, "FLOW", 1), (5, 6, "MEM_OUTPUT", 1),
+             (1, 3, "FLOW", 0), (2, 3, "MEM_OUTPUT", 3), (3, 3, "MEM_OUTPUT", 2),
+             (4, 5, "MEM_OUTPUT", 0), (0, 1, "MEM_OUTPUT", 1), (4, 0, "MEM_OUTPUT", 3),
+             (3, 5, "FLOW", 2), (1, 4, "ANTI", 2), (5, 1, "FLOW", 1),
+             (5, 2, "MEM_OUTPUT", 1), (4, 2, "MEM_OUTPUT", 2)],
+        )
+        pre = SchedPrecomp.build(deps, NARROW)
+        spy = _DriftSpy(monkeypatch)
+        expected = modulo._try_ii(deps, NARROW, 3, 70)
+        assert expected is not None
+        assert modulo._try_ii_tables(pre, 3, 70) == expected
+        assert spy.fired == []
+
+    @pytest.fixture
+    def drift_state(self, ims_attempts):
+        """A real state at which the exit fired, with a placed op outside
+        ``D`` that has an edge to or from ``D``, and ``D`` itself."""
+        _, fired = ims_attempts
+        for pre, ii, snapshot, start, last_tried, placed_kind, worklist in fired:
+            drift = [i for i in range(pre.n) if last_tried[i] != snapshot[1][i]]
+            fixed = [
+                j for j in range(pre.n)
+                if j not in drift and start[j] is not None
+            ]
+            if fixed:
+                return pre, ii, snapshot, start, last_tried, placed_kind, worklist, drift, fixed
+        pytest.fail("no drift exit with a placed op outside the drifting set")
+
+    @staticmethod
+    def _with_edge(pre, src, dst, lat, dist):
+        succs = [list(row) for row in pre.succs]
+        preds = [list(row) for row in pre.preds]
+        succs[src].append((dst, lat, dist))
+        preds[dst].append((src, lat, dist))
+        return dataclasses.replace(
+            pre,
+            succs=tuple(tuple(row) for row in succs),
+            preds=tuple(tuple(row) for row in preds),
+        )
+
+    @pytest.mark.parametrize("condition", ["a", "b", "c", "d", "e", "f"])
+    def test_each_condition_alone_blocks_the_exit(self, drift_state, condition):
+        pre, ii, snapshot, start, last_tried, placed_kind, worklist, drift, fixed = drift_state
+        assert modulo._drift_repeats(
+            pre, ii, snapshot, start, last_tried, placed_kind, worklist
+        )
+        snap_start, snap_last, snap_kind, snap_work = snapshot
+        start, last_tried, placed_kind = list(start), list(last_tried), list(placed_kind)
+        snap_last = list(snap_last)
+        i, j = drift[0], fixed[0]
+        if condition == "a":  # a placed op changed its unit kind
+            placed_kind[j] = placed_kind[j] + 1
+        elif condition == "b":  # one op of D drifted a further II
+            last_tried[i] += ii
+            if start[i] is not None:
+                start[i] += ii
+        elif condition == "c":  # an op outside D moved by a whole II
+            start[j] += ii
+        elif condition == "d":  # an op of D had never been tried
+            shift = last_tried[i] - snap_last[i]
+            snap_last[i] = -1
+            last_tried[i] = shift - 1
+        elif condition == "e":  # D feeds the placed op j
+            pre = self._with_edge(pre, i, j, 0, 0)
+        else:  # the placed op j binds on i's next try
+            pre = self._with_edge(pre, j, i, max(0, snap_last[i] + 2 - start[j]), 0)
+        snapshot = (snap_start, snap_last, snap_kind, snap_work)
+        assert not modulo._drift_repeats(
+            pre, ii, snapshot, start, last_tried, placed_kind, worklist
+        )
