@@ -17,9 +17,7 @@ Subcommands map one-to-one onto the paper's artefacts:
   stdin through a bounded, deadline-aware gateway (the serve-many half).
 * ``measure`` — fault-tolerant measurement run: per-unit retries and
   timeouts, quarantine instead of abort, and a checkpoint journal so
-  ``--resume`` continues a killed run bit-identically.  ``--dedup``
-  measures one representative per content-addressed equivalence class and
-  fans results back out, bit-identical to a full run.
+  ``--resume`` continues a killed run bit-identically.
 * ``lifecycle`` — the closed loop over a serving fleet: replay the
   request log for drift (confidence, vote entropy, feature shift vs the
   training fingerprint), measure flagged loops through the resilient
@@ -613,7 +611,7 @@ def cmd_measure(args) -> int:
     from repro.workloads.generator import generate_suite
 
     _install_fault_plan_arg(args)
-    config = LabelingConfig(seed=args.seed, swp=args.swp, dedup=args.dedup)
+    config = LabelingConfig(seed=args.seed, swp=args.swp)
     suite = generate_suite(seed=args.seed, loops_scale=args.scale)
     key = config_key(args.seed, args.scale, config)
     store = CacheStore(args.cache_dir)
@@ -623,12 +621,8 @@ def cmd_measure(args) -> int:
         print(f"measurement table {key} already cached at {store.path_for(key)}")
         return 0
 
-    # A dedup run's journal holds class-key units, not (benchmark, factor)
-    # units, so it gets its own run key and default path — the cache key is
-    # shared (the tables are bit-identical) but the journals never mix.
-    run_key = f"{key}-dedup" if args.dedup else key
-    journal_path = args.journal or store.root / f"journal_{run_key}.jsonl"
-    journal = CheckpointJournal(journal_path, run_key=run_key)
+    journal_path = args.journal or store.root / f"journal_{key}.jsonl"
+    journal = CheckpointJournal(journal_path, run_key=key)
     if args.resume:
         try:
             replayed = journal.load()
@@ -1028,12 +1022,6 @@ def main(argv=None) -> int:
         "--resume",
         action="store_true",
         help="replay the checkpoint journal and execute only missing units",
-    )
-    measure_parser.add_argument(
-        "--dedup",
-        action="store_true",
-        help="measure one representative per content-addressed equivalence "
-        "class and fan results out (bit-identical to a full run)",
     )
     measure_parser.add_argument(
         "--journal",

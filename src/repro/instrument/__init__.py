@@ -2,7 +2,6 @@
 
 from repro.instrument.report import (
     FORMAT_VERSION,
-    DedupStats,
     LoopRecord,
     MeasurementRollup,
     ResilienceEvent,
@@ -18,7 +17,6 @@ from repro.instrument.timers import (
 )
 
 __all__ = [
-    "DedupStats",
     "FORMAT_VERSION",
     "LoopMeasurement",
     "LoopRecord",

@@ -228,25 +228,12 @@ def _mem_overlap_distances(earlier: MemRef, later: MemRef, max_distance: int) ->
     return distances
 
 
-def analyze_dependences(
-    loop: Loop,
-    max_carried_distance: int = 8,
-    overlap_memo: dict | None = None,
-) -> DependenceGraph:
+def analyze_dependences(loop: Loop, max_carried_distance: int = 8) -> DependenceGraph:
     """Build the dependence graph of ``loop``'s body.
 
     ``max_carried_distance`` bounds the search for loop-carried memory
     dependences; distances beyond the maximum unroll factor can never affect
     unrolled-body scheduling, so 8 (the label-space maximum) is the default.
-
-    ``overlap_memo``, when given, caches :func:`_mem_overlap_distances`
-    results across calls.  The overlap set for a same-array, non-indirect
-    pair depends only on ``(coeff_e, coeff_l, offset_l - offset_e, width_e,
-    width_l, max_distance)`` — for equal strides the congruence test reads
-    ``cl * d + (ol - oe)``, and for unequal strides the result is the
-    constant ``{0}`` — so memoizing on that key returns the exact same set
-    a fresh computation would build.  Purely a speedup: edge construction
-    and :func:`_dedup` are order-insensitive per (src, dst, kind) triple.
     """
     body = loop.body
     n = len(body)
@@ -304,22 +291,7 @@ def analyze_dependences(
                 if ai != bi or a_store:
                     edges.append(DepEdge(a_pos, b_pos, DepKind.MEM_MAY, 1))
                 continue
-            if overlap_memo is None:
-                overlap = _mem_overlap_distances(a.mem, b.mem, max_carried_distance)
-            else:
-                memo_key = (
-                    a.mem.index.coeff,
-                    b.mem.index.coeff,
-                    b.mem.index.offset - a.mem.index.offset,
-                    a.mem.width,
-                    b.mem.width,
-                    max_carried_distance,
-                )
-                overlap = overlap_memo.get(memo_key)
-                if overlap is None:
-                    overlap = _mem_overlap_distances(a.mem, b.mem, max_carried_distance)
-                    overlap_memo[memo_key] = overlap
-            for d in overlap:
+            for d in _mem_overlap_distances(a.mem, b.mem, max_carried_distance):
                 if d == 0:
                     if a_pos >= b_pos:
                         continue  # handled by the (b, a) iteration

@@ -159,7 +159,7 @@ def _nn_training_error(X: np.ndarray, y: np.ndarray, include_self: bool = False)
     # Unlike the expanded form ``sq_i + sq_j - 2 z_i.z_j``, this is exact
     # for duplicate rows (distance identically zero, never rounding noise),
     # so nearest-neighbor ties break by index deterministically — and it is
-    # bit-identical to the incremental engine's per-feature accumulation.
+    # bit-identical to :class:`_GreedyWorkspace`'s per-feature accumulation.
     d2 = np.zeros((Z.shape[0], Z.shape[0]))
     for j in range(Z.shape[1]):
         diff = Z[:, j, None] - Z[None, :, j]

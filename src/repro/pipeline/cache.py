@@ -90,8 +90,6 @@ def config_key(suite_seed: int, loops_scale: float, config: LabelingConfig) -> s
         "swp": config.swp,
         "n_runs": config.n_runs,
         "noise": dataclasses.asdict(config.noise),
-        # Content-addressed dedup does not participate: a dedup run fans
-        # out to the same bytes as measuring every loop.
         "machine": _machine_fingerprint(config.machine),
         "workloads_version": WORKLOADS_VERSION,
         "schema": SCHEMA_VERSION,

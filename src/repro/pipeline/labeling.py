@@ -24,7 +24,7 @@ derives its RNG from its own :class:`numpy.random.SeedSequence` child, and
 the merge assembles results by (benchmark, factor) index, never by
 completion order.
 
-Both fan-outs run on the fault-tolerant executor
+Units run on the fault-tolerant executor
 (:func:`repro.resilience.run_units`): units are retried with deterministic
 backoff, timed out, quarantined when they fail every attempt (the merge
 NaN-fills their rows instead of aborting the run), re-executed serially
@@ -44,14 +44,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.features.extract import extract_features
-from repro.instrument.report import DedupStats, MeasurementRollup, UnitTiming
-from repro.ir.loop import Loop
+from repro.instrument.report import MeasurementRollup, UnitTiming
 from repro.ir.program import Benchmark, Suite
 from repro.ir.types import MAX_UNROLL
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
 from repro.ml.dataset import LoopDataset
-from repro.pipeline.dedup import DedupIndex, build_dedup_index
 from repro.pipeline.measurements import MeasurementTable
 from repro.resilience.executor import (
     DEFAULT_RESILIENCE,
@@ -71,16 +69,7 @@ from repro.simulate.noise import DEFAULT_NOISE, NoiseModel
 
 @dataclass(frozen=True)
 class LabelingConfig:
-    """Knobs of the labelling protocol (paper defaults).
-
-    ``dedup`` switches the fan-out to content-addressed work units: one
-    representative per cost-key equivalence class
-    (:func:`repro.pipeline.dedup.build_dedup_index`) is measured across
-    all factors and the per-entry sweep is fanned back out to every class
-    member, replaying each (benchmark, factor) unit's own noise stream —
-    the resulting tables are bit-identical to a dedup-off run, so
-    ``dedup`` is excluded from the measurement cache key too.
-    """
+    """Knobs of the labelling protocol (paper defaults)."""
 
     seed: int = 20050320
     swp: bool = False
@@ -89,7 +78,6 @@ class LabelingConfig:
     n_runs: int = 30
     min_cycles: float = 50_000.0
     min_benefit: float = 1.05
-    dedup: bool = False
 
 
 @dataclass
@@ -186,11 +174,6 @@ def _pair_from_json(payload: dict) -> tuple[UnitResult, UnitResult]:
     return unit_from_json(payload["off"]), unit_from_json(payload["on"])
 
 
-#: Engine of the dedup class sweeps: bit-identical to the per-unit "fast"
-#: engine, and a sweep's ascending factor order is exactly what it exploits.
-_CLASS_ENGINE = "incremental"
-
-
 def measure_benchmark_factor(
     benchmark: Benchmark,
     bench_index: int,
@@ -269,122 +252,6 @@ def measure_benchmark_factor_pair(
     return off, on
 
 
-@dataclass(frozen=True)
-class ClassUnitResult:
-    """Output of one dedup work unit: the representative loop of one
-    cost-key equivalence class swept across every unroll factor.
-
-    ``per_entry`` holds noise-free cycles per loop entry (factor 1..8);
-    totals and measurement noise are reconstructed per member during
-    fan-out.  The incremental counters report how much cross-factor
-    analysis the sweep reused."""
-
-    class_key: str
-    per_entry: np.ndarray  # (MAX_UNROLL,) noise-free cycles per entry
-    worker: int
-    seconds: float
-    analysis_hits: int = 0
-    analysis_misses: int = 0
-    incremental_hits: int = 0
-    incremental_misses: int = 0
-
-
-def class_unit_to_json(unit: ClassUnitResult) -> dict:
-    """A :class:`ClassUnitResult` as a JSON-safe dict (journal payload).
-
-    The equivalence-class key rides along explicitly (it is also the
-    journal label), so a resumed dedup run can neither re-measure a
-    completed class nor fan a payload out to the wrong members.
-    """
-    return {
-        "class_key": unit.class_key,
-        "per_entry": [float(v) for v in unit.per_entry],
-        "worker": unit.worker,
-        "seconds": unit.seconds,
-        "analysis_hits": unit.analysis_hits,
-        "analysis_misses": unit.analysis_misses,
-        "incremental_hits": unit.incremental_hits,
-        "incremental_misses": unit.incremental_misses,
-    }
-
-
-def class_unit_from_json(payload: dict) -> ClassUnitResult:
-    """Inverse of :func:`class_unit_to_json`."""
-    return ClassUnitResult(
-        class_key=str(payload["class_key"]),
-        per_entry=np.asarray(payload["per_entry"], dtype=np.float64),
-        worker=int(payload["worker"]),
-        seconds=float(payload["seconds"]),
-        analysis_hits=int(payload["analysis_hits"]),
-        analysis_misses=int(payload["analysis_misses"]),
-        incremental_hits=int(payload["incremental_hits"]),
-        incremental_misses=int(payload["incremental_misses"]),
-    )
-
-
-def _class_pair_to_json(pair: tuple[ClassUnitResult, ClassUnitResult]) -> dict:
-    return {"off": class_unit_to_json(pair[0]), "on": class_unit_to_json(pair[1])}
-
-
-def _class_pair_from_json(payload: dict) -> tuple[ClassUnitResult, ClassUnitResult]:
-    return class_unit_from_json(payload["off"]), class_unit_from_json(payload["on"])
-
-
-def measure_class(
-    loop: Loop,
-    class_key: str,
-    config: LabelingConfig,
-    cost_model: CostModel | None = None,
-) -> ClassUnitResult:
-    """Execute one dedup work unit: sweep the class representative across
-    factors 1..8 and return the noise-free per-entry cycle vector.
-
-    Noise is deliberately absent here — each *member's* measurement noise
-    is replayed during fan-out from that member's own (benchmark, factor)
-    seed child, so the assembled table is bit-identical to a dedup-off
-    run regardless of how loops were grouped into classes.
-    """
-    start = time.perf_counter()
-    if cost_model is None:
-        cost_model = shared_cost_model(config.machine, config.swp, _CLASS_ENGINE)
-    cache = cost_model.analysis
-    hits0, misses0 = cache.hits, cache.misses
-    inc_hits0 = cost_model.incremental_hits
-    inc_misses0 = cost_model.incremental_misses
-    per_entry = np.empty(MAX_UNROLL)
-    for factor in range(1, MAX_UNROLL + 1):
-        per_entry[factor - 1] = cost_model.loop_cost(loop, factor).per_entry_cycles
-    return ClassUnitResult(
-        class_key=class_key,
-        per_entry=per_entry,
-        worker=os.getpid(),
-        seconds=time.perf_counter() - start,
-        analysis_hits=cache.hits - hits0,
-        analysis_misses=cache.misses - misses0,
-        incremental_hits=cost_model.incremental_hits - inc_hits0,
-        incremental_misses=cost_model.incremental_misses - inc_misses0,
-    )
-
-
-def measure_class_pair(
-    loop: Loop,
-    class_key: str,
-    config_off: LabelingConfig,
-    config_on: LabelingConfig,
-    cost_models: tuple[CostModel, CostModel] | None = None,
-) -> tuple[ClassUnitResult, ClassUnitResult]:
-    """One dedup work unit swept in both scheduling regimes back to back
-    (the class-level analogue of :func:`measure_benchmark_factor_pair`)."""
-    if cost_models is None:
-        cost_models = (
-            shared_cost_model(config_off.machine, config_off.swp, _CLASS_ENGINE),
-            shared_cost_model(config_on.machine, config_on.swp, _CLASS_ENGINE),
-        )
-    off = measure_class(loop, class_key, config_off, cost_models[0])
-    on = measure_class(loop, class_key, config_on, cost_models[1])
-    return off, on
-
-
 def _run_labelling_units(tasks, jobs, resilience, journal, encode, decode):
     """:func:`run_units` for one labelling run, with the cyclic garbage
     collector paused.
@@ -428,22 +295,24 @@ def _unit_seeds(seed: int, n_benchmarks: int) -> list[list[np.random.SeedSequenc
 
 
 class _TableAssembly:
-    """Static (factor-independent) columns plus the deterministic merge.
+    """Static (factor- and regime-independent) columns plus the
+    deterministic merge.
 
-    The parent process extracts features and provenance once; work units
+    The parent process extracts features and provenance once per run — a
+    paired run shares one assembly between its two regimes; work units
     only produce per-factor timings, which :meth:`merge` lands by
     (benchmark, factor) index — so the assembled table is bit-identical
-    however the units were scheduled.  A quarantined unit (one that failed
-    every retry) leaves NaN in its (benchmark, factor) cells: the run
-    degrades to a table with holes instead of aborting, and the labelling
-    filters naturally drop the affected loops."""
+    however the units were scheduled.  Each merge builds a table of its
+    own (fresh timing arrays, its own copy of the static columns).  A
+    quarantined unit (one that failed every retry) leaves NaN in its
+    (benchmark, factor) cells: the run degrades to a table with holes
+    instead of aborting, and the labelling filters naturally drop the
+    affected loops."""
 
-    def __init__(self, suite: Suite, config: LabelingConfig):
+    def __init__(self, suite: Suite, machine: MachineModel):
         n = suite.n_loops
         self.benchmarks = suite.benchmarks
         self.X = np.empty((n, 38))
-        self.measured = np.empty((n, MAX_UNROLL))
-        self.true = np.empty((n, MAX_UNROLL))
         self.names: list[str] = []
         self.benchs: list[str] = []
         self.suites: list[str] = []
@@ -454,7 +323,7 @@ class _TableAssembly:
         for benchmark in self.benchmarks:
             self.row_starts.append(row)
             for loop in benchmark.loops:
-                self.X[row] = extract_features(loop, config.machine)
+                self.X[row] = extract_features(loop, machine)
                 self.names.append(loop.name)
                 self.benchs.append(benchmark.name)
                 self.suites.append(benchmark.suite)
@@ -468,17 +337,20 @@ class _TableAssembly:
         rollup: MeasurementRollup | None,
         swp: bool,
     ) -> MeasurementTable:
+        n = len(self.names)
+        measured = np.empty((n, MAX_UNROLL))
+        true = np.empty((n, MAX_UNROLL))
         for bi, benchmark in enumerate(self.benchmarks):
             lo = self.row_starts[bi]
             hi = lo + benchmark.n_loops
             for factor in range(1, MAX_UNROLL + 1):
                 unit = results.get((bi, factor))
                 if unit is None:  # quarantined after exhausting retries
-                    self.measured[lo:hi, factor - 1] = np.nan
-                    self.true[lo:hi, factor - 1] = np.nan
+                    measured[lo:hi, factor - 1] = np.nan
+                    true[lo:hi, factor - 1] = np.nan
                     continue
-                self.measured[lo:hi, factor - 1] = unit.measured
-                self.true[lo:hi, factor - 1] = unit.true_cycles
+                measured[lo:hi, factor - 1] = unit.measured
+                true[lo:hi, factor - 1] = unit.true_cycles
                 if rollup is not None:
                     rollup.record(
                         UnitTiming(
@@ -492,14 +364,14 @@ class _TableAssembly:
                         )
                     )
         return MeasurementTable(
-            X=self.X,
-            measured=self.measured,
-            true_cycles=self.true,
+            X=self.X.copy(),
+            measured=measured,
+            true_cycles=true,
             loop_names=np.array(self.names),
             benchmarks=np.array(self.benchs),
             suites=np.array(self.suites),
             languages=np.array(self.langs),
-            entry_counts=self.entries,
+            entry_counts=self.entries.copy(),
             swp=swp,
         )
 
@@ -509,95 +381,6 @@ def _bind_serial(benchmark, bi, factor, config, seed, cost_model):
     picklable, and must not be: only the serial executor calls it)."""
     return lambda: measure_benchmark_factor(
         benchmark, bi, factor, config, seed, cost_model
-    )
-
-
-def _bind_serial_class(loop, class_key, config, cost_model):
-    return lambda: measure_class(loop, class_key, config, cost_model)
-
-
-def _bind_serial_class_pair(loop, class_key, config_off, config_on, models):
-    return lambda: measure_class_pair(loop, class_key, config_off, config_on, models)
-
-
-def _fan_out(
-    suite: Suite,
-    config: LabelingConfig,
-    index: DedupIndex,
-    class_results: dict[int, ClassUnitResult],
-    seeds: list[list[np.random.SeedSequence]],
-) -> dict[tuple[int, int], UnitResult]:
-    """Expand class sweeps into synthetic per-(benchmark, factor) units.
-
-    Each member row's true cycles are ``per_entry * entry_count`` — the
-    exact multiply the cost model performs — and each (benchmark, factor)
-    unit's noise stream is replayed from its own seed child exactly as
-    :func:`measure_benchmark_factor` would consume it, so the merge below
-    is bit-identical to a dedup-off run.  A quarantined class leaves NaN
-    in its members' true cycles; the noise contract propagates the NaN
-    per row without disturbing the other rows' draws.
-    """
-    results: dict[tuple[int, int], UnitResult] = {}
-    for bi, benchmark in enumerate(suite.benchmarks):
-        n = benchmark.n_loops
-        entry_counts = np.array(
-            [loop.entry_count for loop in benchmark.loops], dtype=np.int64
-        )
-        class_ids = [index.class_of[(bi, li)] for li in range(n)]
-        for factor in range(1, MAX_UNROLL + 1):
-            true = np.empty(n)
-            for i, ci in enumerate(class_ids):
-                unit = class_results.get(ci)
-                if unit is None:  # the class was quarantined
-                    true[i] = np.nan
-                else:
-                    true[i] = unit.per_entry[factor - 1] * entry_counts[i]
-            rng = np.random.default_rng(seeds[bi][factor - 1])
-            measured = config.noise.batch_medians(
-                true, entry_counts, rng, n=config.n_runs
-            )
-            results[(bi, factor)] = UnitResult(
-                bench_index=bi,
-                factor=factor,
-                measured=measured,
-                true_cycles=true,
-                worker=0,
-                seconds=0.0,
-            )
-    return results
-
-
-def _record_class_timings(
-    rollup: MeasurementRollup,
-    index: DedupIndex,
-    class_results: dict[int, ClassUnitResult],
-) -> None:
-    """Class sweeps are the real work units of a dedup run, so they — not
-    the synthetic fan-out units — carry the timings (factor 0 marks a
-    whole-sweep unit; ``n_loops`` counts the members served)."""
-    for ci, cls in enumerate(index.classes):
-        unit = class_results.get(ci)
-        if unit is None:
-            continue
-        rollup.record(
-            UnitTiming(
-                benchmark=f"class:{cls.key[:12]}",
-                factor=0,
-                worker=unit.worker,
-                n_loops=len(cls.members),
-                seconds=unit.seconds,
-                analysis_hits=unit.analysis_hits,
-                analysis_misses=unit.analysis_misses,
-            )
-        )
-
-
-def _dedup_stats(index: DedupIndex, units) -> DedupStats:
-    """The index's static statistics plus the run's incremental counters."""
-    return dataclasses.replace(
-        index.stats,
-        incremental_hits=sum(u.incremental_hits for u in units),
-        incremental_misses=sum(u.incremental_misses for u in units),
     )
 
 
@@ -623,14 +406,11 @@ def measure_suite(
         journal: checkpoint journal — completed units are committed to it
             and, after :meth:`~repro.resilience.CheckpointJournal.load`,
             replayed instead of re-measured, so a killed run resumes
-            bit-identically to an uninterrupted one.  Dedup runs use
-            class-key labels, so a journal never mixes the two unit shapes.
+            bit-identically to an uninterrupted one.
     """
-    if config.dedup:
-        return _measure_suite_dedup(suite, config, jobs, rollup, resilience, journal)
     jobs = resolve_jobs(jobs)
     benchmarks = suite.benchmarks
-    assembly = _TableAssembly(suite, config)
+    assembly = _TableAssembly(suite, config.machine)
     seeds = _unit_seeds(config.seed, len(benchmarks))
     # Serial runs share one private cost model across all units so the
     # analysis caches amortise across factors (pool workers get the same
@@ -665,53 +445,6 @@ def measure_suite(
     return assembly.merge(report.results, rollup, config.swp)
 
 
-def _measure_suite_dedup(
-    suite: Suite,
-    config: LabelingConfig,
-    jobs: int | None,
-    rollup: MeasurementRollup | None,
-    resilience: ResilienceConfig | None,
-    journal: CheckpointJournal | None,
-) -> MeasurementTable:
-    """Dedup-enabled :func:`measure_suite`: one work unit per cost-key
-    class, fanned back out to every member before the deterministic merge.
-    Bit-identical to the dedup-off path for every ``jobs`` value."""
-    jobs = resolve_jobs(jobs)
-    index = build_dedup_index(suite, machine=config.machine)
-    assembly = _TableAssembly(suite, config)
-    seeds = _unit_seeds(config.seed, len(suite.benchmarks))
-    cost_model = (
-        CostModel(machine=config.machine, swp=config.swp, engine=_CLASS_ENGINE)
-        if jobs == 1
-        else None
-    )
-    tasks = [
-        UnitTask(
-            key=ci,
-            label=f"class:{cls.key}",
-            fn=measure_class,
-            args=(index.representative_loop(suite, ci), cls.key, config),
-            serial_call=(
-                None
-                if cost_model is None
-                else _bind_serial_class(
-                    index.representative_loop(suite, ci), cls.key, config, cost_model
-                )
-            ),
-        )
-        for ci, cls in enumerate(index.classes)
-    ]
-    report = _run_labelling_units(
-        tasks, jobs, resilience, journal, class_unit_to_json, class_unit_from_json
-    )
-    results = _fan_out(suite, config, index, report.results, seeds)
-    if rollup is not None:
-        rollup.events.extend(report.events)
-        _record_class_timings(rollup, index, report.results)
-        rollup.dedup = _dedup_stats(index, report.results.values())
-    return assembly.merge(results, None, config.swp)
-
-
 def _bind_serial_pair(benchmark, bi, factor, config_off, config_on, seed, models):
     return lambda: measure_benchmark_factor_pair(
         benchmark, bi, factor, config_off, config_on, seed, models
@@ -740,16 +473,11 @@ def measure_suite_pair(
     operate on the paired unit, and each resilience event is reported once
     — on ``rollup_off`` when given, else on ``rollup_on``.
     """
-    if config.dedup:
-        return _measure_suite_pair_dedup(
-            suite, config, jobs, rollup_off, rollup_on, resilience, journal
-        )
     jobs = resolve_jobs(jobs)
     benchmarks = suite.benchmarks
     config_off = dataclasses.replace(config, swp=False)
     config_on = dataclasses.replace(config, swp=True)
-    assembly_off = _TableAssembly(suite, config_off)
-    assembly_on = _TableAssembly(suite, config_on)
+    assembly = _TableAssembly(suite, config.machine)
     seeds = _unit_seeds(config.seed, len(benchmarks))
     if jobs == 1:
         shared = AnalysisCache()
@@ -791,82 +519,8 @@ def measure_suite_pair(
     if event_rollup is not None:
         event_rollup.events.extend(report.events)
     return (
-        assembly_off.merge(results_off, rollup_off, False),
-        assembly_on.merge(results_on, rollup_on, True),
-    )
-
-
-def _measure_suite_pair_dedup(
-    suite: Suite,
-    config: LabelingConfig,
-    jobs: int | None,
-    rollup_off: MeasurementRollup | None,
-    rollup_on: MeasurementRollup | None,
-    resilience: ResilienceConfig | None,
-    journal: CheckpointJournal | None,
-) -> tuple[MeasurementTable, MeasurementTable]:
-    """Dedup-enabled :func:`measure_suite_pair`: one paired class sweep
-    per cost-key class, both regimes sharing one analysis cache, fanned
-    back out per regime.  Each rollup receives its own regime's class
-    timings and dedup statistics; resilience events are reported once."""
-    jobs = resolve_jobs(jobs)
-    config_off = dataclasses.replace(config, swp=False)
-    config_on = dataclasses.replace(config, swp=True)
-    index = build_dedup_index(suite, machine=config.machine)
-    assembly_off = _TableAssembly(suite, config_off)
-    assembly_on = _TableAssembly(suite, config_on)
-    seeds = _unit_seeds(config.seed, len(suite.benchmarks))
-    if jobs == 1:
-        shared = AnalysisCache()
-        cost_models = (
-            CostModel(machine=config.machine, swp=False, analysis=shared,
-                      engine=_CLASS_ENGINE),
-            CostModel(machine=config.machine, swp=True, analysis=shared,
-                      engine=_CLASS_ENGINE),
-        )
-    else:
-        cost_models = None
-    tasks = [
-        UnitTask(
-            key=ci,
-            label=f"class:{cls.key}",
-            fn=measure_class_pair,
-            args=(
-                index.representative_loop(suite, ci),
-                cls.key,
-                config_off,
-                config_on,
-            ),
-            serial_call=(
-                None
-                if cost_models is None
-                else _bind_serial_class_pair(
-                    index.representative_loop(suite, ci), cls.key,
-                    config_off, config_on, cost_models
-                )
-            ),
-        )
-        for ci, cls in enumerate(index.classes)
-    ]
-    report = _run_labelling_units(
-        tasks, jobs, resilience, journal, _class_pair_to_json, _class_pair_from_json
-    )
-    class_off = {ci: pair[0] for ci, pair in report.results.items()}
-    class_on = {ci: pair[1] for ci, pair in report.results.items()}
-    results_off = _fan_out(suite, config_off, index, class_off, seeds)
-    results_on = _fan_out(suite, config_on, index, class_on, seeds)
-    event_rollup = rollup_off if rollup_off is not None else rollup_on
-    if event_rollup is not None:
-        event_rollup.events.extend(report.events)
-    if rollup_off is not None:
-        _record_class_timings(rollup_off, index, class_off)
-        rollup_off.dedup = _dedup_stats(index, class_off.values())
-    if rollup_on is not None:
-        _record_class_timings(rollup_on, index, class_on)
-        rollup_on.dedup = _dedup_stats(index, class_on.values())
-    return (
-        assembly_off.merge(results_off, None, False),
-        assembly_on.merge(results_on, None, True),
+        assembly.merge(results_off, rollup_off, False),
+        assembly.merge(results_on, rollup_on, True),
     )
 
 

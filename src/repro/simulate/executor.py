@@ -36,30 +36,6 @@ Costing splits into two stages:
 schedulers, running the original single-stage path — the oracle the
 tier-1 equivalence tests pin the fast path to, and the engine perfbench's
 offline workload re-measures six units with on every run.
-
-``engine="incremental"`` layers cross-factor reuse *under* the analysis
-cache: the factor-``f`` analysis extends work already done for other
-factors of the same loop instead of recomputing it.  Four mechanisms, each
-individually proven bit-identical to the from-scratch path:
-
-* **clamp sharing** — for a compile-time-known trip count ``T``, every
-  requested factor ``f > T`` clamps to the same effective factor, so the
-  entry is the effective factor's analysis with only ``requested_factor``
-  rewritten;
-* **unroll row reuse** — copy ``k`` of an unrolled body depends only on
-  ``(k, k == u - 1)`` (renaming reads copy ``k - 1``'s names, which a
-  standalone rebuild reproduces exactly), so the renamed rows are built
-  once and only the memory retargeting runs per factor;
-* **remainder sharing** — remainder bodies across factors differ only in
-  their base offset, and dependence distances, scheduler tables, and
-  register pressure are all shift-invariant, so one factor's remainder
-  analysis serves them all;
-* **shared scheduling-scalar cells** — every factor whose remainder is
-  shared also shares that remainder's scheduling-scalar cell, so the list
-  schedule runs once per loop's remainder rather than once per entry.
-
-All reuse sits *below* :meth:`CostModel.analyze`'s cache lookup, so cache
-verification (and the ``analysis.poison`` fault) behave identically.
 """
 
 from __future__ import annotations
@@ -69,10 +45,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.ir.dependence import DependenceGraph, analyze_dependences
-from repro.ir.instruction import Instruction
-from repro.ir.loop import Loop, TripInfo
-from repro.ir.types import MAX_UNROLL
-from repro.ir.values import Reg
+from repro.ir.loop import Loop
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
 from repro.sched.list_scheduler import (
@@ -95,10 +68,7 @@ from repro.simulate.cache import (
     effective_load_latency,
     icache_entry_penalty,
 )
-from repro.transforms.coalesce import coalesce_loads
-from repro.transforms.dce import eliminate_dead_code
 from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
-from repro.transforms.scalar_replacement import scalar_replace
 from repro.transforms.unroll import UnrollResult
 
 #: Fixed cycles to enter a loop (live-in setup, first-bundle fetch).
@@ -135,9 +105,9 @@ class _SchedCell:
     schedule that survive into the cost; the trailing float arithmetic
     (spill cap, period, trip multiply) is recomputed per query in the
     original operation order, so a cell hit is bit-identical to a fresh
-    schedule.  Both the fast and the incremental engine attach a cell to
-    every part they analyse: the second SWP regime reuses the first one's
-    scalars for remainders and for mains it does not pipeline.
+    schedule.  The fast engine attaches a cell to every part it analyses:
+    the second SWP regime reuses the first one's scalars for remainders
+    and for mains it does not pipeline.
     """
 
     __slots__ = ("value",)
@@ -233,39 +203,9 @@ class AnalysisCache:
         self._entries.clear()
 
 
-class _LoopStore:
-    """Per-loop scratch state for the incremental engine.
-
-    Everything in here is a pure function of the source loop (plus, for the
-    remainder analysis, the model's fixed plan and machine), shared across
-    unroll factors:
-
-    * ``carried`` — the carried-register set (one scan instead of one per
-      unroll call);
-    * ``rows`` — renamed body copies keyed by ``(k, is_last)``, still
-      awaiting per-factor memory retargeting;
-    * ``retargeted`` — a fresh-identity clone of the body, rebased per
-      factor for remainder loops;
-    * ``rem_shared`` / ``rem_cell`` — one remainder's dependence graph,
-      scheduler tables, and scheduling-scalar cell, valid for every
-      factor's remainder because all of them are offset shifts of the same
-      body.
-    """
-
-    __slots__ = ("loop", "carried", "rows", "retargeted", "rem_shared", "rem_cell")
-
-    def __init__(self, loop: Loop) -> None:
-        self.loop = loop
-        self.carried = loop.carried_regs()
-        self.rows: dict[tuple[int, bool], tuple[Instruction, ...]] = {}
-        self.retargeted: tuple[Instruction, ...] | None = None
-        self.rem_shared: tuple[DependenceGraph, SchedPrecomp] | None = None
-        self.rem_cell: _SchedCell | None = None
-
-
-#: Process-local cost-model registry, keyed by (machine name, swp, engine).
+#: Process-local cost-model registry, keyed by (machine name, swp).
 #: See :func:`shared_cost_model`.
-_SHARED_MODELS: dict[tuple[str, bool, str], "CostModel"] = {}
+_SHARED_MODELS: dict[tuple[str, bool], "CostModel"] = {}
 
 #: Process-local analysis caches shared by both regimes of one machine.
 _SHARED_ANALYSIS: dict[str, AnalysisCache] = {}
@@ -282,31 +222,25 @@ def shared_analysis_cache(machine: MachineModel) -> AnalysisCache:
     return cache
 
 
-def shared_cost_model(
-    machine: MachineModel, swp: bool, engine: str = "fast"
-) -> "CostModel":
+def shared_cost_model(machine: MachineModel, swp: bool) -> "CostModel":
     """Process-local memoised :class:`CostModel` — the worker-safe entry
     point for the parallel measurement pipeline.
 
-    Each worker process reuses one model per (machine, swp, engine) regime
-    across all the work units it executes, so the per-loop analysis caches
-    (effective load latency, bandwidth floor) amortise across the eight
-    unroll factors of a benchmark just as they do in a serial run; the two
-    SWP regimes of one engine additionally share one :class:`AnalysisCache`
-    via :func:`shared_analysis_cache` (the fast and incremental engines
-    produce interchangeable, bit-identical entries, so they may share it
-    too).  The caches are keyed by loop name, which is unique within a
-    generated suite; callers measuring hand-built suites with colliding
-    loop names should construct their own :class:`CostModel`.
+    Each worker process reuses one ``"fast"`` model per (machine, swp)
+    regime across all the work units it executes, so the per-loop analysis
+    caches (effective load latency, bandwidth floor) amortise across the
+    eight unroll factors of a benchmark just as they do in a serial run;
+    the two SWP regimes additionally share one :class:`AnalysisCache` via
+    :func:`shared_analysis_cache`.  The caches are keyed by loop name,
+    which is unique within a generated suite; callers measuring hand-built
+    suites with colliding loop names should construct their own
+    :class:`CostModel`.
     """
-    key = (machine.name, swp, engine)
+    key = (machine.name, swp)
     model = _SHARED_MODELS.get(key)
     if model is None or model.machine != machine:
         model = CostModel(
-            machine=machine,
-            swp=swp,
-            analysis=shared_analysis_cache(machine),
-            engine=engine,
+            machine=machine, swp=swp, analysis=shared_analysis_cache(machine)
         )
         _SHARED_MODELS[key] = model
     return model
@@ -330,11 +264,9 @@ class CostModel:
         analysis: the analysis cache to use; pass a shared instance to let
             several models (typically the two SWP regimes) reuse each
             other's analyses.  ``None`` creates a private cache.
-        engine: ``"fast"`` (two-stage, cached, table-driven schedulers),
-            ``"incremental"`` (the fast path plus cross-factor reuse; see
-            the module docstring), or ``"reference"`` (the original
-            single-stage path; bit-identical results, kept as the
-            equivalence oracle).
+        engine: ``"fast"`` (two-stage, cached, table-driven schedulers) or
+            ``"reference"`` (the original single-stage path; bit-identical
+            results, kept as the equivalence oracle).
     """
 
     def __init__(
@@ -345,11 +277,8 @@ class CostModel:
         analysis: AnalysisCache | None = None,
         engine: str = "fast",
     ):
-        if engine not in ("fast", "incremental", "reference"):
-            raise ValueError(
-                "engine must be 'fast', 'incremental', or 'reference', "
-                f"got {engine!r}"
-            )
+        if engine not in ("fast", "reference"):
+            raise ValueError(f"engine must be 'fast' or 'reference', got {engine!r}")
         self.machine = machine
         self.swp = swp
         self.plan = plan or OptimizationPlan()
@@ -358,14 +287,6 @@ class CostModel:
         self._latency_cache: dict[str, int] = {}
         self._floor_cache: dict[str, float] = {}
         self._machine_variants: dict[int, MachineModel] = {}
-        # Incremental-engine state (inert for the other engines).
-        self._stores: "OrderedDict[str, _LoopStore]" = OrderedDict()
-        self._store_cap = 1024
-        self._overlap_memo: dict = {}
-        # Reuse counters: the incremental engine's mechanisms, plus the
-        # scheduling-scalar cells that the fast engine uses too.
-        self.incremental_hits = 0
-        self.incremental_misses = 0
 
     # ------------------------------------------------------------------
 
@@ -397,8 +318,6 @@ class CostModel:
         return entry
 
     def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
-        if self.engine == "incremental":
-            return self._build_analysis_incremental(loop, factor)
         machine = self._machine_for(loop)
         bw_floor = self._bandwidth_floor(loop)
         result = optimize_for_factor(loop, factor, self.plan)
@@ -425,265 +344,6 @@ class CostModel:
             main_cell=main_cell,
             rem_cell=rem_cell,
         )
-
-    # ------------------------------------------------------------------
-    # Incremental engine: cross-factor analysis reuse.
-    # ------------------------------------------------------------------
-
-    def _build_analysis_incremental(self, loop: Loop, factor: int) -> LoopAnalysis:
-        if not (1 <= factor <= MAX_UNROLL):
-            raise ValueError(
-                f"unroll factor must be in [1, {MAX_UNROLL}], got {factor}"
-            )
-        trip = loop.trip
-        if trip.known:
-            effective = min(factor, trip.compile_time)
-            if effective != factor:
-                # Clamp sharing: unroll() produces identical output for
-                # every requested factor above the compile-time trip count,
-                # differing only in ``requested_factor`` — so the clamped
-                # factor's analysis (cached under its own key) is reused
-                # wholesale, cells included.
-                self.incremental_hits += 1
-                base_entry = self.analyze(loop, effective)
-                result = dataclasses.replace(
-                    base_entry.result, requested_factor=factor
-                )
-                return dataclasses.replace(base_entry, result=result)
-        store = self._store_for(loop)
-        machine = self._machine_for(loop)
-        bw_floor = self._bandwidth_floor(loop)
-        result = self._optimize_incremental(loop, factor, store)
-        main_deps = main_pre = rem_deps = rem_pre = None
-        main_cell = rem_cell = None
-        if result.main is not None:
-            main_deps = analyze_dependences(
-                result.main, overlap_memo=self._overlap_memo
-            )
-            main_pre = SchedPrecomp.build(main_deps, machine)
-            main_cell = _SchedCell()
-        if result.remainder is not None:
-            if store.rem_shared is None:
-                # Remainder sharing: dependence distances, scheduler
-                # tables, and the scheduling scalars are invariant under
-                # the per-factor base-offset shift, so the first factor's
-                # remainder analysis serves every factor of this loop.
-                self.incremental_misses += 1
-                rem_deps = analyze_dependences(
-                    result.remainder, overlap_memo=self._overlap_memo
-                )
-                rem_pre = SchedPrecomp.build(rem_deps, machine)
-                store.rem_shared = (rem_deps, rem_pre)
-                store.rem_cell = _SchedCell()
-            else:
-                self.incremental_hits += 1
-                rem_deps, rem_pre = store.rem_shared
-            rem_cell = store.rem_cell
-        return LoopAnalysis(
-            loop=loop,
-            base_machine=self.machine,
-            machine=machine,
-            bw_floor=bw_floor,
-            result=result,
-            main_deps=main_deps,
-            main_pre=main_pre,
-            rem_deps=rem_deps,
-            rem_pre=rem_pre,
-            main_cell=main_cell,
-            rem_cell=rem_cell,
-        )
-
-    def _store_for(self, loop: Loop) -> _LoopStore:
-        """The per-loop incremental store, verified against the loop the
-        way :class:`AnalysisCache` verifies its entries (hand-built suites
-        may reuse names across different loops)."""
-        store = self._stores.get(loop.name)
-        if store is not None and (store.loop is loop or store.loop == loop):
-            self._stores.move_to_end(loop.name)
-            return store
-        store = _LoopStore(loop)
-        self._stores[loop.name] = store
-        self._stores.move_to_end(loop.name)
-        while len(self._stores) > self._store_cap:
-            self._stores.popitem(last=False)
-        return store
-
-    def _optimize_incremental(
-        self, loop: Loop, factor: int, store: _LoopStore
-    ) -> UnrollResult:
-        """:func:`optimize_for_factor` with the unroll stage replaced by
-        row-cached replication.  Validation, trip handling, and the cleanup
-        pipeline mirror the from-scratch path line for line."""
-        if loop.unroll_factor != 1:
-            raise ValueError(f"loop {loop.name!r} is already unrolled")
-        trip = loop.trip
-        effective = factor
-        if trip.known:
-            effective = min(factor, trip.compile_time)
-        if effective == 1:
-            result = UnrollResult(
-                original=loop,
-                requested_factor=factor,
-                factor=1,
-                main=loop,
-                remainder=None,
-                remainder_emitted=False,
-                needs_precondition=False,
-            )
-        elif trip.counted:
-            result = self._unroll_counted_incremental(loop, factor, effective, store)
-        else:
-            result = self._unroll_while_incremental(loop, factor, effective, store)
-        main = result.main
-        if main is None:
-            return result
-        if self.plan.scalar_replacement:
-            main = scalar_replace(main)
-        if self.plan.coalescing:
-            main = coalesce_loads(main)
-        if self.plan.dead_code_elimination:
-            main = eliminate_dead_code(main)
-        if main is result.main:
-            return result
-        return dataclasses.replace(result, main=main)
-
-    def _unroll_counted_incremental(
-        self, loop: Loop, requested: int, u: int, store: _LoopStore
-    ) -> UnrollResult:
-        trip = loop.trip
-        total = trip.runtime
-        main_trips = total // u
-        leftover = total % u
-
-        main = None
-        if main_trips > 0:
-            main = loop.with_body(
-                self._unrolled_body_cached(loop, u, store),
-                trip=TripInfo(
-                    runtime=main_trips,
-                    compile_time=main_trips if trip.known else None,
-                    counted=True,
-                ),
-                unroll_factor=u,
-                name=f"{loop.name}#u{u}",
-            )
-
-        remainder = None
-        if leftover > 0:
-            remainder = loop.with_body(
-                self._retargeted_body_cached(loop, main_trips * u, store),
-                trip=TripInfo(
-                    runtime=leftover,
-                    compile_time=leftover if trip.known else None,
-                    counted=True,
-                ),
-                unroll_factor=1,
-                name=f"{loop.name}#rem",
-            )
-
-        remainder_emitted = (leftover > 0) if trip.known else True
-        return UnrollResult(
-            original=loop,
-            requested_factor=requested,
-            factor=u,
-            main=main,
-            remainder=remainder,
-            remainder_emitted=remainder_emitted,
-            needs_precondition=not trip.known,
-        )
-
-    def _unroll_while_incremental(
-        self, loop: Loop, requested: int, u: int, store: _LoopStore
-    ) -> UnrollResult:
-        if not loop.has_early_exit:
-            raise ValueError(
-                f"non-counted loop {loop.name!r} has no exit branch; its trip "
-                "semantics would be undefined"
-            )
-        total = loop.trip.runtime
-        main = loop.with_body(
-            self._unrolled_body_cached(loop, u, store),
-            trip=TripInfo(runtime=-(-total // u), compile_time=None, counted=False),
-            unroll_factor=u,
-            name=f"{loop.name}#u{u}",
-        )
-        return UnrollResult(
-            original=loop,
-            requested_factor=requested,
-            factor=u,
-            main=main,
-            remainder=None,
-            remainder_emitted=False,
-            needs_precondition=False,
-        )
-
-    def _unrolled_body_cached(
-        self, loop: Loop, u: int, store: _LoopStore
-    ) -> tuple[Instruction, ...]:
-        """``_unrolled_body(loop, u, base=0)`` with the renamed rows of each
-        copy cached across factors; only the memory retargeting (which
-        depends on ``u``) runs per factor."""
-        body: list[Instruction] = []
-        for k in range(u):
-            for row in self._copy_rows(loop, k, k == u - 1, store):
-                body.append(row.with_unrolled_mem(u, k, 0))
-        return tuple(body)
-
-    def _copy_rows(
-        self, loop: Loop, k: int, is_last: bool, store: _LoopStore
-    ) -> tuple[Instruction, ...]:
-        """The renamed (but not yet memory-retargeted) rows of copy ``k``.
-
-        The rename of copy ``k`` reads only copy ``k - 1``'s names — after
-        copies ``0..k-1`` every destination's current name carries the
-        ``.{k-1}`` suffix, because every non-final copy renames every
-        destination — so the rows depend on ``(k, is_last)`` alone and are
-        shared by every factor ``u`` with ``u > k`` (``is_last`` selects the
-        carried write-back of copy ``u - 1``).
-        """
-        key = (k, is_last)
-        rows = store.rows.get(key)
-        if rows is not None:
-            self.incremental_hits += 1
-            return rows
-        self.incremental_misses += 1
-        carried = store.carried
-        current: dict[Reg, Reg] = {}
-        if k > 0:
-            for inst in loop.body:
-                for dest in inst.reg_dests():
-                    current[dest] = Reg(f"{dest.name}.{k - 1}", dest.dtype)
-        built: list[Instruction] = []
-        for inst in loop.body:
-            src_map = {
-                reg: current[reg]
-                for reg in inst.reg_srcs()
-                if reg in current and current[reg] != reg
-            }
-            dest_map: dict[Reg, Reg] = {}
-            for dest in inst.reg_dests():
-                if dest in carried and is_last:
-                    dest_map[dest] = dest
-                else:
-                    dest_map[dest] = Reg(f"{dest.name}.{k}", dest.dtype)
-            built.append(inst.rewritten(src_map, dest_map))
-            current.update(dest_map)
-        rows = tuple(built)
-        store.rows[key] = rows
-        return rows
-
-    def _retargeted_body_cached(
-        self, loop: Loop, base: int, store: _LoopStore
-    ) -> tuple[Instruction, ...]:
-        """``_retargeted_body(loop, base)`` with the fresh-identity clone
-        built once; only the per-factor rebase allocates."""
-        rows = store.retargeted
-        if rows is None:
-            rows = tuple(inst.rewritten({}, {}) for inst in loop.body)
-            store.retargeted = rows
-        if base == 0:
-            return rows
-        return tuple(row.with_unrolled_mem(1, 0, base) for row in rows)
 
     # ------------------------------------------------------------------
     # Stage 2: per-regime scheduling and cost assembly.
@@ -828,14 +488,12 @@ class CostModel:
                 )
 
         if cell is not None and cell.value is not None:
-            self.incremental_hits += 1
             steady, pressure = cell.value
         else:
             schedule = list_schedule(deps, machine, pre=pre)
             pressure = max_live(deps, schedule)
             steady = steady_state_cycles(deps, schedule, machine, pre=pre)
             if cell is not None:
-                self.incremental_misses += 1
                 cell.value = (steady, pressure)
         base_period = max(steady, body_floor)
         # Spill cost is bounded relative to the loop itself: the allocator

@@ -318,6 +318,31 @@ class TestMeasureCommand:
         assert main([*self.MEASURE, *cache]) == 0
         assert "already cached" in capsys.readouterr().out
 
+    def test_a_class_unit_journal_is_refused_untouched(self, tmp_path, capsys):
+        """Journals of the retired content-addressed fan-out carried the run
+        key ``<key>-dedup`` and class-key units; resuming from one must fail
+        as stale and leave its bytes alone."""
+        from repro.pipeline import LabelingConfig, config_key
+        from repro.resilience import CheckpointJournal
+
+        key = config_key(123, 0.02, LabelingConfig(seed=123))
+        path = tmp_path / "old.jsonl"
+        journal = CheckpointJournal(path, run_key=f"{key}-dedup")
+        journal.commit("class:0123abcd", {"class_key": "0123abcd", "per_entry": [1.0] * 8})
+        journal.close()
+        before = path.read_bytes()
+
+        cache = ["--cache-dir", str(tmp_path / "cache")]
+        assert main([*self.MEASURE, *cache, "--resume", "--journal", str(path)]) == 2
+        assert "cannot resume" in capsys.readouterr().out
+        assert path.read_bytes() == before
+
+    def test_dedup_flag_is_gone(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*self.MEASURE, "--dedup"])
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments: --dedup" in capsys.readouterr().err
+
 
 class TestServeDaemonFlags:
     def test_parse_listen_forms(self):

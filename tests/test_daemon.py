@@ -368,6 +368,42 @@ def _retained_items(root) -> int:
     return total
 
 
+def _quiescent_retained_items(daemon, timeout_s: float = 10.0) -> int:
+    """:func:`_retained_items` once the daemon holds no in-flight work.
+
+    A client has its answer before the daemon finishes the request's
+    bookkeeping (admission release, batch-queue hand-off, the delivery
+    task's exit, request-log enqueue), so an immediate count can catch
+    transient entries, and catches more of them on a loaded machine.  Poll
+    until the gateway has nothing pending, the batch queue is empty, no
+    response write is in flight and the request log (if one is attached)
+    has drained, then count."""
+    deadline = time.monotonic() + timeout_s
+    while not (
+        daemon.gateway._pending == 0
+        and daemon._queue.empty()
+        and not daemon._deliveries
+        and (daemon.request_log is None or daemon.request_log._queue.empty())
+    ):
+        assert time.monotonic() < deadline, "daemon never went quiescent"
+        time.sleep(0.005)
+    return _retained_items(daemon)
+
+
+def _start_every_pool_thread(pool) -> None:
+    """Make a ``ThreadPoolExecutor`` start all the threads it ever will.
+
+    The pool starts threads lazily, up to ``max_workers``: a batch that is
+    submitted before the previous batch's thread has marked itself idle
+    starts a new one, which happens more often on a loaded machine.  Each
+    thread adds ~24 retained items once, however many requests follow, so
+    a warm-up leaves the pool at its cap: ``max_workers`` tasks that wait
+    on one barrier must each run on their own thread."""
+    barrier = threading.Barrier(pool._max_workers)
+    for future in [pool.submit(barrier.wait, 10) for _ in range(pool._max_workers)]:
+        future.result()
+
+
 class TestBoundedState(DaemonHarness):
     def test_retained_state_does_not_grow_with_requests(self, store, dataset):
         """A daemon serves unbounded traffic, so nothing it holds may grow
@@ -381,9 +417,10 @@ class TestBoundedState(DaemonHarness):
         with self._run(store) as daemon:
             client = _Client(daemon.address)
             serve(client, 20)  # warm-up: lazily built state settles
-            before = _retained_items(daemon)
+            _start_every_pool_thread(daemon.gateway._pool)
+            before = _quiescent_retained_items(daemon)
             serve(client, 200)
-            after = _retained_items(daemon)
+            after = _quiescent_retained_items(daemon)
             client.close()
         assert after - before < 20
 

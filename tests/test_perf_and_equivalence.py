@@ -5,7 +5,9 @@ The performance work keeps every seed code path alive behind
 those references — the cached two-stage cost model, the paired measurement
 run, the batched noise stream, the vectorized mutual information, and the
 incremental greedy-selection workspaces must all reproduce the seed's
-numbers, not merely approximate them.
+numbers, not merely approximate them.  Tables are compared byte for byte
+with :func:`tests.strategies.assert_tables_bit_identical`, whose own
+strictness is pinned here too.
 """
 
 import dataclasses
@@ -24,20 +26,29 @@ from repro.ir.dependence import (
     edge_latency,
 )
 from repro.ir.loop import TripInfo
-from repro.ir.types import Opcode
+from repro.ir.program import Suite
+from repro.ir.types import MAX_UNROLL, Opcode
 from repro.ml import (
     greedy_forward_selection,
     mutual_information_score,
     mutual_information_score_reference,
 )
 from repro.machine import ITANIUM2, NARROW
-from repro.pipeline import measure_suite_pair
+from repro.pipeline import (
+    LabelingConfig,
+    measure_benchmark_factor,
+    measure_suite,
+    measure_suite_pair,
+)
+from repro.pipeline import labeling
 from repro.sched.precompute import SchedPrecomp
 from repro.simulate.executor import AnalysisCache, CostModel
-from repro.simulate.noise import DEFAULT_NOISE
+from repro.simulate.noise import DEFAULT_NOISE, NoiseModel
 from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
+from repro.workloads.generator import generate_benchmark
+from repro.workloads.spec_names import ROSTER
 
-from tests.strategies import random_loops
+from tests.strategies import assert_tables_bit_identical, measurement_tables, random_loops
 
 #: The default plan plus every single-switch ablation the benches use.
 PLANS = [
@@ -225,27 +236,128 @@ class TestNoiseStreamContract:
         del rng
 
 
+@pytest.fixture(scope="module")
+def small_pair():
+    """Two small benchmarks measured serially in both regimes on the fast
+    engine: ``(suite, config, off_table, on_table)``."""
+    infos = (ROSTER[1], ROSTER[0])
+    seeds = np.random.SeedSequence(3).spawn(len(infos))
+    benchmarks = tuple(
+        generate_benchmark(info, np.random.default_rng(child), loops_scale=0.04)
+        for info, child in zip(infos, seeds)
+    )
+    suite = Suite(name="small", benchmarks=benchmarks)
+    config = LabelingConfig(
+        seed=3, noise=NoiseModel(sigma=0.01, outlier_rate=0.0, counter_overhead=5), n_runs=3
+    )
+    off, on = measure_suite_pair(suite, config)
+    return suite, config, off, on
+
+
 class TestMeasureSuitePair:
     def test_pair_matches_standalone_runs(self, mini_suite, mini_config, mini_table):
         rollup_off, rollup_on = MeasurementRollup(), MeasurementRollup()
         table_off, table_on = measure_suite_pair(
             mini_suite, mini_config, jobs=1, rollup_off=rollup_off, rollup_on=rollup_on
         )
-        from repro.pipeline import measure_suite
-
         table_on_ref = measure_suite(
             mini_suite, dataclasses.replace(mini_config, swp=True), jobs=1
         )
-        for pair_table, ref_table in ((table_off, mini_table), (table_on, table_on_ref)):
-            np.testing.assert_array_equal(pair_table.measured, ref_table.measured)
-            np.testing.assert_array_equal(pair_table.true_cycles, ref_table.true_cycles)
-            np.testing.assert_array_equal(pair_table.X, ref_table.X)
-            np.testing.assert_array_equal(pair_table.loop_names, ref_table.loop_names)
+        assert_tables_bit_identical(table_off, mini_table)
+        assert_tables_bit_identical(table_on, table_on_ref)
         assert not table_off.swp and table_on.swp
         # The ON regime reuses every analysis the OFF regime built.
         hits = rollup_off.analysis_hits() + rollup_on.analysis_hits()
         misses = rollup_off.analysis_misses() + rollup_on.analysis_misses()
         assert hits == misses > 0
+
+    def test_features_are_extracted_once_per_loop(self, small_pair, monkeypatch):
+        suite, config, off, on = small_pair
+        seen = []
+
+        def counting(loop, machine):
+            seen.append(loop.name)
+            return real(loop, machine)
+
+        real = labeling.extract_features
+        monkeypatch.setattr(labeling, "extract_features", counting)
+        pair = measure_suite_pair(suite, config)
+        assert sorted(seen) == sorted(off.loop_names)
+        assert_tables_bit_identical(pair[0], off)
+        assert_tables_bit_identical(pair[1], on)
+
+    def test_the_two_tables_share_no_arrays(self, small_pair):
+        suite, config, _, _ = small_pair
+        off, on = measure_suite_pair(suite, config)
+        for name in ("X", "measured", "true_cycles", "entry_counts"):
+            assert not np.shares_memory(getattr(off, name), getattr(on, name)), name
+        before = off.X[0, 0]
+        on.X[0, 0] += 1.0
+        assert off.X[0, 0] == before
+
+
+def _assert_units_match(suite, config, table, cost_model) -> None:
+    """Every (benchmark, factor) unit measured through ``cost_model`` and
+    seeded the way :func:`measure_suite` seeds it lands exactly on
+    ``table``'s cells — the path perfbench spot-checks on every run."""
+    seeds = np.random.SeedSequence(config.seed).spawn(len(suite.benchmarks))
+    start = 0
+    for bi, benchmark in enumerate(suite.benchmarks):
+        rows = slice(start, start + benchmark.n_loops)
+        for factor, seed in enumerate(seeds[bi].spawn(MAX_UNROLL), start=1):
+            unit = measure_benchmark_factor(
+                benchmark, bi, factor, config, seed, cost_model
+            )
+            np.testing.assert_array_equal(unit.true_cycles, table.true_cycles[rows, factor - 1])
+            np.testing.assert_array_equal(unit.measured, table.measured[rows, factor - 1])
+        start = rows.stop
+
+
+class TestReferenceUnits:
+    @pytest.mark.parametrize("swp", [False, True])
+    def test_fast_table_matches_reference_units(self, small_pair, swp):
+        suite, config, off, on = small_pair
+        _assert_units_match(
+            suite,
+            dataclasses.replace(config, swp=swp),
+            on if swp else off,
+            CostModel(swp=swp, engine="reference"),
+        )
+
+
+class TestAssertHelper:
+    @given(table=measurement_tables())
+    @settings(max_examples=20, deadline=None)
+    def test_accepts_a_table_against_itself(self, table):
+        assert_tables_bit_identical(table, table)
+
+    @given(table=measurement_tables())
+    @settings(max_examples=20, deadline=None)
+    def test_rejects_any_float_perturbation(self, table):
+        measured = table.measured.copy()
+        # Flip the sign bit of one cell: even -0.0 vs 0.0 must be caught.
+        measured.view(np.uint64)[0, 0] ^= np.uint64(1 << 63)
+        other = dataclasses.replace(table, measured=measured)
+        with pytest.raises(AssertionError, match="measured"):
+            assert_tables_bit_identical(table, other)
+
+    @given(table=measurement_tables())
+    @settings(max_examples=20, deadline=None)
+    def test_rejects_a_provenance_mismatch(self, table):
+        names = table.loop_names.copy().astype(object)
+        names[0] = str(names[0]) + "x"
+        other = dataclasses.replace(table, loop_names=names.astype(str))
+        with pytest.raises(AssertionError, match="loop_names"):
+            assert_tables_bit_identical(table, other)
+
+    def test_nan_holes_must_match_positionally(self, small_pair):
+        table = small_pair[2]
+        holed = table.measured.copy()
+        holed[0, 0] = np.nan
+        other = dataclasses.replace(table, measured=holed)
+        assert_tables_bit_identical(other, dataclasses.replace(other))
+        with pytest.raises(AssertionError):
+            assert_tables_bit_identical(table, other)
 
 
 #: Computed from the seed's double-loop implementation on this exact input.

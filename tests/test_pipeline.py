@@ -22,8 +22,6 @@ from repro.pipeline.cache import build_artifacts, config_key
 from repro.pipeline.labeling import (
     measure_benchmark_factor,
     measure_benchmark_factor_pair,
-    measure_class,
-    measure_class_pair,
 )
 from repro.resilience import (
     AbortRun,
@@ -208,7 +206,6 @@ class TestCollectorPause:
         on_config = dataclasses.replace(mini_config, swp=True)
         seeds = np.random.SeedSequence(3).spawn(MAX_UNROLL)
         benchmarks = list(enumerate(two_benchmarks.benchmarks))
-        loops = [loop for _, bench in benchmarks for loop in bench.loops]
 
         def per_unit():
             model = CostModel(machine=mini_config.machine)
@@ -231,21 +228,7 @@ class TestCollectorPause:
                         seeds[factor - 1], models,
                     )
 
-        def class_units():
-            model = CostModel(engine="incremental")
-            for loop in loops:
-                measure_class(loop, loop.name, mini_config, model)
-
-        def class_pair_units():
-            shared = AnalysisCache()
-            models = (
-                CostModel(swp=False, analysis=shared, engine="incremental"),
-                CostModel(swp=True, analysis=shared, engine="incremental"),
-            )
-            for loop in loops:
-                measure_class_pair(loop, loop.name, mini_config, on_config, models)
-
-        for run in (per_unit, pair_units, class_units, class_pair_units):
+        for run in (per_unit, pair_units):
             assert self._leaves_no_cycles(run) == 0, run.__name__
 
     def test_pair_run_restores_an_enabled_collector(self, two_benchmarks, mini_config):
