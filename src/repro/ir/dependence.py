@@ -52,6 +52,13 @@ class DepKind(enum.Enum):
         )
 
 
+#: Small integer id per kind (declaration order): the kind's form in the
+#: edge tuples of :mod:`repro.ir.coded` and :class:`SchedPrecomp`'s build.
+for _code, _kind in enumerate(DepKind):
+    _kind.code = _code
+del _code, _kind
+
+
 @dataclass(frozen=True)
 class DepEdge:
     """A dependence from body position ``src`` to body position ``dst``.

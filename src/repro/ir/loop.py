@@ -20,7 +20,7 @@ written is a **loop-invariant live-in**.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterator
 
 from repro.ir.instruction import Instruction
@@ -104,6 +104,11 @@ class Loop:
             raise ValueError("entry count must be >= 1")
         if self.unroll_factor < 1:
             raise ValueError("unroll factor must be >= 1")
+
+    def __getstate__(self) -> dict:
+        # Pickles carry the fields only: instance memos (the cost model's
+        # coded form and remainder analyses) are rebuilt on use.
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Register classification.

@@ -114,7 +114,7 @@ class Opcode(enum.Enum):
     # Control.
     BR_EXIT = "br.exit"
 
-    # Static metadata accessors (``info``, ``category``, ``fu_kind``,
+    # Static metadata accessors (``code``, ``info``, ``category``, ``fu_kind``,
     # ``is_memory``, ``is_load``, ``is_store``, ``is_branch``, ``is_fp``,
     # ``is_compare``) are installed as plain member attributes right after
     # ``_OPCODE_TABLE`` below: the schedulers and transform passes query
@@ -174,7 +174,10 @@ _OPCODE_TABLE: dict[Opcode, OpInfo] = {
     Opcode.BR_EXIT: OpInfo(OpCategory.BRANCH, FUKind.BR, 0, has_dest=False),
 }
 
-for _op, _info in _OPCODE_TABLE.items():
+for _code, (_op, _info) in enumerate(_OPCODE_TABLE.items()):
+    #: Small integer id (declaration order), the opcode's form in
+    #: :mod:`repro.ir.coded` bodies and the scheduler's op-row tables.
+    _op.code = _code
     _op.info = _info
     _op.category = _info.category
     _op.fu_kind = _info.fu_kind
@@ -188,7 +191,11 @@ for _op, _info in _OPCODE_TABLE.items():
         OpCategory.FP_DIV,
     )
     _op.is_compare = _info.category is OpCategory.COMPARE
-del _op, _info
+del _code, _op, _info
+
+
+#: Opcodes by their integer id (``Opcode.code``).
+OPCODES: tuple[Opcode, ...] = tuple(Opcode)
 
 
 class CmpOp(enum.Enum):

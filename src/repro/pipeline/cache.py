@@ -19,8 +19,10 @@ The store is built to survive a hostile filesystem:
   hash, so a format change simply stops matching old entries instead of
   misreading them.
 * **Operable** — ``repro-unroll cache stats|gc|clear`` inspects and prunes
-  the store; ``REPRO_CACHE_DIR`` relocates it (tests point it at a tmp
-  dir so runs never share state).
+  the store, including the checkpoint journals killed ``repro measure``
+  runs leave in it (``gc`` drops only those no run can resume);
+  ``REPRO_CACHE_DIR`` relocates it (tests point it at a tmp dir so runs
+  never share state).
 """
 
 from __future__ import annotations
@@ -40,6 +42,7 @@ from repro.ml.dataset import LoopDataset
 from repro.pipeline.labeling import LabelingConfig, measure_suite
 from repro.pipeline.measurements import CorruptTableError, MeasurementTable
 from repro.resilience.faults import get_injector
+from repro.resilience.journal import JournalError, journal_run_key
 from repro.workloads.generator import WORKLOADS_VERSION, generate_suite
 
 logger = logging.getLogger(__name__)
@@ -108,13 +111,17 @@ class CacheStats:
     n_stale_tmp: int
     total_bytes: int
     quarantine_cap: int = QUARANTINE_CAP
+    n_journals: int = 0
+    journal_bytes: int = 0
 
     def summary(self) -> str:
         return (
             f"{self.directory}: {self.n_entries} entries "
             f"({self.total_bytes / 1024:.0f} KiB), "
             f"{self.n_quarantined} quarantined (cap {self.quarantine_cap}), "
-            f"{self.n_stale_tmp} stale temp file(s)"
+            f"{self.n_stale_tmp} stale temp file(s), "
+            f"{self.n_journals} checkpoint journal(s) "
+            f"({self.journal_bytes / 1024:.0f} KiB)"
         )
 
 
@@ -129,6 +136,10 @@ class CacheStore:
 
     PREFIX = "measurements_"
     QUARANTINE_SUFFIX = ".corrupt"
+    JOURNAL_GLOB = "journal_*.jsonl"
+    #: Run-key suffix of the retired content-addressed (dedup) fan-out,
+    #: whose journals no current run can resume.
+    RETIRED_RUN_KEY_SUFFIX = "-dedup"
 
     def __init__(
         self,
@@ -151,6 +162,25 @@ class CacheStore:
 
     def stale_tmp(self) -> list[Path]:
         return sorted(self.root.glob(".*.tmp"))
+
+    def journals(self) -> list[Path]:
+        """Checkpoint journals ``repro measure`` left in the store (a killed
+        run's ``journal_<key>.jsonl``)."""
+        return sorted(self.root.glob(self.JOURNAL_GLOB))
+
+    def journal_is_dead(self, path: Path) -> bool:
+        """Whether no run can ever resume ``path``: its header is not a v1
+        checkpoint journal, its run key is a retired ``-dedup`` key, or
+        the table it would produce is already cached."""
+        try:
+            run_key = journal_run_key(path)
+        except FileNotFoundError:
+            return False  # removed by a concurrent gc/clear
+        except (OSError, UnicodeDecodeError, JournalError):
+            return True
+        if run_key.endswith(self.RETIRED_RUN_KEY_SUFFIX):
+            return True
+        return self.path_for(run_key).exists()
 
     # ------------------------------------------------------------------
 
@@ -231,23 +261,31 @@ class CacheStore:
 
     def stats(self) -> CacheStats:
         entries = self.entries()
+        journals = self.journals()
         return CacheStats(
             directory=self.root,
             n_entries=len(entries),
             n_quarantined=len(self.quarantined()),
             n_stale_tmp=len(self.stale_tmp()),
-            total_bytes=sum(p.stat().st_size for p in entries if p.exists()),
+            total_bytes=_total_bytes(entries),
             quarantine_cap=self.quarantine_cap,
+            n_journals=len(journals),
+            journal_bytes=_total_bytes(journals),
         )
 
     def gc(self) -> list[Path]:
         """Prune everything unreadable: quarantined files, stale temp
-        files, and live entries that fail to load.  Returns what was
+        files, live entries that fail to load, and checkpoint journals no
+        run can resume (:meth:`journal_is_dead`).  Returns what was
         removed."""
         removed: list[Path] = []
         for path in self.quarantined() + self.stale_tmp():
             path.unlink(missing_ok=True)
             removed.append(path)
+        for path in self.journals():
+            if self.journal_is_dead(path):
+                path.unlink(missing_ok=True)
+                removed.append(path)
         for path in self.entries():
             try:
                 MeasurementTable.load(path)
@@ -259,13 +297,23 @@ class CacheStore:
         return removed
 
     def clear(self) -> int:
-        """Remove every entry (live, quarantined, and temp); returns the
-        number of files removed."""
+        """Remove every entry (live, quarantined, and temp) and every
+        checkpoint journal; returns the number of files removed."""
         count = 0
-        for path in self.entries() + self.quarantined() + self.stale_tmp():
+        for path in self.entries() + self.quarantined() + self.stale_tmp() + self.journals():
             path.unlink(missing_ok=True)
             count += 1
         return count
+
+
+def _total_bytes(paths: list[Path]) -> int:
+    total = 0
+    for path in paths:
+        try:
+            total += path.stat().st_size
+        except FileNotFoundError:
+            pass  # removed by a concurrent gc/clear
+    return total
 
 
 def cached_measurements(

@@ -32,6 +32,37 @@ class JournalError(RuntimeError):
     different config would corrupt the resumed table."""
 
 
+def _parse_header(path: Path, line: str) -> dict:
+    """The header on a journal's first line; :class:`JournalError` unless it
+    is a v1 checkpoint-journal header."""
+    try:
+        header = json.loads(line)
+    except json.JSONDecodeError as error:
+        raise JournalError(f"{path}: unreadable journal header: {error}") from None
+    if (
+        not isinstance(header, dict)
+        or header.get("format") != JOURNAL_FORMAT
+        or header.get("version") != JOURNAL_VERSION
+    ):
+        raise JournalError(f"{path}: not a v{JOURNAL_VERSION} checkpoint journal")
+    return header
+
+
+def journal_run_key(path: str | Path) -> str:
+    """The run key the journal at ``path`` belongs to.
+
+    Raises :class:`JournalError` when its first line is not a v1 header
+    naming a run key, and ``OSError`` when the file cannot be read.
+    """
+    path = Path(path)
+    with open(path, encoding="utf-8") as handle:
+        header = _parse_header(path, handle.readline())
+    run_key = header.get("run_key")
+    if not isinstance(run_key, str):
+        raise JournalError(f"{path}: journal header names no run key")
+    return run_key
+
+
 class CheckpointJournal:
     """Commit log of completed work units for one measurement run."""
 
@@ -56,16 +87,7 @@ class CheckpointJournal:
             lines = handle.read().splitlines()
         if not lines:
             return 0
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as error:
-            raise JournalError(f"{self.path}: unreadable journal header: {error}") from None
-        if (
-            not isinstance(header, dict)
-            or header.get("format") != JOURNAL_FORMAT
-            or header.get("version") != JOURNAL_VERSION
-        ):
-            raise JournalError(f"{self.path}: not a v{JOURNAL_VERSION} checkpoint journal")
+        header = _parse_header(self.path, lines[0])
         if header.get("run_key") != self.run_key:
             raise JournalError(
                 f"{self.path}: journal belongs to run {header.get('run_key')!r}, "

@@ -56,7 +56,7 @@ def list_schedule(
     if n == 0:
         return ListSchedule((), 0, 0)
 
-    height = pre.height
+    rank = pre.rank.__getitem__
     occ_t = pre.occ
     fu_opts = pre.fu_opts
     succs0 = pre.succs0
@@ -77,8 +77,8 @@ def list_schedule(
         if cycle > max_cycles:
             raise RuntimeError("list scheduler failed to converge (dependence cycle?)")
         issued_this_cycle = 0
-        # Highest priority first; stable order keeps results deterministic.
-        ready.sort(key=lambda i: (-height[i], i))
+        # Highest priority first: ``rank`` orders by (-height, position).
+        ready.sort(key=rank)
         deferred: list[int] = []
         for i in ready:
             if issued_this_cycle >= issue_width:

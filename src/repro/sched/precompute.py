@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.ir.dependence import DepKind, DependenceGraph
-from repro.ir.types import FUKind
+from repro.ir.types import OPCODES, FUKind
 from repro.machine.model import MachineModel
 
 #: Stable small-integer index for each functional-unit kind.
@@ -40,10 +40,18 @@ FU_ORDER: tuple[FUKind, ...] = tuple(FUKind)
 FU_INDEX: dict[FUKind, int] = {kind: idx for idx, kind in enumerate(FU_ORDER)}
 N_FU_KINDS = len(FU_ORDER)
 
-_FLOW = DepKind.FLOW
-_MEM_FLOW = DepKind.MEM_FLOW
-_MEM_OUTPUT = DepKind.MEM_OUTPUT
-_MEM_MAY = DepKind.MEM_MAY
+#: Scheduling latency per dependence-kind code, as
+#: :func:`~repro.ir.dependence.edge_latency` assigns it: ``-1`` stands for
+#: the producer's own latency (flow kinds), memory output/may edges keep a
+#: one-cycle separation, anti and control edges only order issue.
+_KIND_LATENCY: tuple[int, ...] = tuple(
+    -1
+    if kind in (DepKind.FLOW, DepKind.MEM_FLOW)
+    else 1
+    if kind in (DepKind.MEM_OUTPUT, DepKind.MEM_MAY)
+    else 0
+    for kind in DepKind
+)
 
 
 @dataclass(frozen=True)
@@ -56,7 +64,7 @@ class SchedPrecomp:
     bit-identical schedules, since several tie-breaks depend on visit order.
     """
 
-    deps: DependenceGraph
+    deps: object  # the DependenceGraph or CodedDeps the tables were built from
     machine: MachineModel
     n: int
     #: Result latency per body position (under ``machine``).
@@ -73,6 +81,9 @@ class SchedPrecomp:
     height: tuple[int, ...]
     #: Body positions sorted by (-height, position): IMS scheduling order.
     order: tuple[int, ...]
+    #: Each position's index in ``order`` — the list scheduler's priority
+    #: sort key (the same total order as ``(-height, position)``).
+    rank: tuple[int, ...]
     #: All-edge adjacency: per node, ``(neighbor, latency, distance)``.
     succs: tuple[tuple[tuple[int, int, int], ...], ...]
     preds: tuple[tuple[tuple[int, int, int], ...], ...]
@@ -86,25 +97,43 @@ class SchedPrecomp:
     issue_width: int
 
     @classmethod
-    def build(cls, deps: DependenceGraph, machine: MachineModel) -> "SchedPrecomp":
-        body = deps.body
-        n = len(body)
+    def build(cls, deps, machine: MachineModel) -> "SchedPrecomp":
+        """The tables for ``deps`` on ``machine``.
+
+        ``deps`` is an object :class:`~repro.ir.dependence.DependenceGraph`
+        (features, the reference engine, tests) or a
+        :class:`~repro.ir.coded.CodedDeps` (the fast cost engine); both
+        reach one build core as opcode ids plus ``(src, dst, kind code,
+        distance)`` edge tuples in graph edge order.
+        """
+        if isinstance(deps, DependenceGraph):
+            ops = [inst.op.code for inst in deps.body]
+            edges = [(e.src, e.dst, e.kind.code, e.distance) for e in deps.edges]
+        else:
+            ops = deps.ops
+            edges = deps.edges
+        return cls._from_tables(deps, ops, edges, machine)
+
+    @classmethod
+    def _from_tables(cls, deps, ops, edges, machine: MachineModel) -> "SchedPrecomp":
+        n = len(ops)
         # Latency, occupancy, unit options, and branch-ness are functions of
         # the opcode alone, so they are resolved once per (machine, opcode)
-        # and cached on the machine instance (derived machines answer these
-        # questions for every instruction of every body they schedule).
+        # and cached on the machine instance as a list indexed by opcode id
+        # (derived machines answer these questions for every instruction of
+        # every body they schedule).
         op_rows = machine.__dict__.get("_sched_op_rows")
         if op_rows is None:
-            op_rows = {}
+            op_rows = [None] * len(OPCODES)
             object.__setattr__(machine, "_sched_op_rows", op_rows)
         lat = []
         occ = []
         fu_opts = []
         is_branch = []
-        for inst in body:
-            op = inst.op
-            row = op_rows.get(op)
+        for code in ops:
+            row = op_rows[code]
             if row is None:
+                op = OPCODES[code]
                 op_lat = machine.op_latency(op)
                 row = (
                     op_lat,
@@ -112,7 +141,7 @@ class SchedPrecomp:
                     tuple(FU_INDEX[k] for k in machine.op_fu_options(op)),
                     op.is_branch,
                 )
-                op_rows[op] = row
+                op_rows[code] = row
             lat.append(row[0])
             occ.append(row[1])
             fu_opts.append(row[2])
@@ -126,19 +155,12 @@ class SchedPrecomp:
         # One pass in edge order: the graph fills its adjacency lists in
         # the same order, so every neighbour list matches ``deps.succs`` /
         # ``deps.preds``.  Latencies follow
-        # :func:`~repro.ir.dependence.edge_latency`, with the producer's
-        # latency read from ``lat`` (no per-edge hashing).
-        for edge in deps.edges:
-            src = edge.src
-            dst = edge.dst
-            dist = edge.distance
-            kind = edge.kind
-            if kind is _FLOW or kind is _MEM_FLOW:
+        # :func:`~repro.ir.dependence.edge_latency` (``_KIND_LATENCY``),
+        # with the producer's latency read from ``lat``.
+        for src, dst, kind, dist in edges:
+            elat = _KIND_LATENCY[kind]
+            if elat < 0:
                 elat = lat[src]
-            elif kind is _MEM_OUTPUT or kind is _MEM_MAY:
-                elat = 1
-            else:
-                elat = 0
             succs[src].append((dst, elat, dist))
             preds[dst].append((src, elat, dist))
             if dist == 0:
@@ -156,6 +178,9 @@ class SchedPrecomp:
                     height[i] = height[j] + elat
 
         order = tuple(sorted(range(n), key=lambda i: (-height[i], i)))
+        rank = [0] * n
+        for position, i in enumerate(order):
+            rank[i] = position
         capacity = tuple(machine.fu_counts.get(kind, 0) for kind in FU_ORDER)
         return cls(
             deps=deps,
@@ -168,6 +193,7 @@ class SchedPrecomp:
             n_branches=sum(is_branch),
             height=tuple(height),
             order=order,
+            rank=tuple(rank),
             succs=tuple(tuple(s) for s in succs),
             preds=tuple(tuple(p) for p in preds),
             succs0=tuple(tuple(s) for s in succs0),

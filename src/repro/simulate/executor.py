@@ -18,24 +18,44 @@ Costing splits into two stages:
 
 * **Analysis** — unroll + cleanup (:func:`optimize_for_factor`), dependence
   analysis, and the scheduler's precomputed tables, none of which depend on
-  whether software pipelining is enabled.  The stage is memoised in a
-  bounded :class:`AnalysisCache` keyed by ``(loop name, factor, plan)`` (the
-  plan *must* participate: ablations change the unrolled body), so the
+  whether software pipelining is enabled.  The fast engine runs all of it
+  on the loop's integer-coded body (:mod:`repro.ir.coded`): each source
+  loop is lowered once, and every factor unrolls, cleans up and analyses
+  integer tables instead of instruction objects.  The stage is memoised in
+  a bounded :class:`AnalysisCache` keyed by ``(loop name, factor, plan)``
+  (the plan *must* participate: ablations change the unrolled body), so the
   SWP-on and SWP-off regimes — and repeated queries within one regime —
-  share one analysis per configuration.
+  share one analysis per configuration.  A remainder part analyses exactly
+  like the source body (only its affine offsets are shifted), so each loop
+  has one remainder analysis shared by every factor.
 * **Scheduling** — the per-regime part: list scheduling plus steady-state
   and spill terms, or modulo scheduling when SWP is on and the part is
   eligible.  The list schedule's two scalars (steady-state cycles and
-  register pressure) are the same in both regimes, so each analysis entry
+  register pressure) are the same in both regimes, so each analysed part
   carries a small mutable cell for them (:class:`_SchedCell`): the SWP-on
   regime reuses the SWP-off regime's scalars for remainders and for mains
   it does not pipeline, and recomputes only the trailing float arithmetic.
   Modulo schedules are never cached.
 
-``engine="reference"`` bypasses both the cache and the table-driven
-schedulers, running the original single-stage path — the oracle the
-tier-1 equivalence tests pin the fast path to, and the engine perfbench's
-offline workload re-measures six units with on every run.
+The fast engine calls every layer through this module's names
+(``optimize_for_factor``, ``analyze_dependences``, ``SchedPrecomp.build``,
+``list_schedule``, ``steady_state_cycles``, ``max_live``,
+``swp_register_pressure``, ``modulo_schedule``), which are the coded
+passes and the table-driven schedulers; perfbench's traced split wraps
+exactly these names.  ``engine="reference"`` bypasses the cache, the coded
+bodies and the table-driven schedulers, running the original single-stage
+path on the object IR (its passes called through their home modules) —
+the oracle the tier-1 equivalence tests pin the fast path to, and the
+engine perfbench's offline workload re-measures six units with on every
+run.
+
+**Determinism.**  A cost is a pure function of (loop, factor, plan,
+machine, regime): cache state, query order and the engine never change a
+bit of it.  Integer ids hash differently from the registers they stand
+for, so every coded pass walks in body order and uses sets for
+membership only; the coded dependence edges equal the object analysis's
+edge for edge and in order, which keeps every scheduler tie-break where
+the reference engine puts it.
 """
 
 from __future__ import annotations
@@ -44,7 +64,20 @@ import dataclasses
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.ir.dependence import DependenceGraph, analyze_dependences
+import repro.ir.dependence as dependence
+import repro.sched.modulo as modulo
+import repro.sched.regpressure as regpressure
+import repro.transforms.pipeline as transforms
+from repro.ir.coded import (
+    CodedDeps,
+    CodedPart,
+    CodedUnroll,
+    analyze_dependences,
+    lower,
+    max_live,
+    optimize_for_factor,
+    swp_register_pressure,
+)
 from repro.ir.loop import Loop
 from repro.machine.itanium2 import ITANIUM2
 from repro.machine.model import MachineModel
@@ -58,18 +91,16 @@ from repro.sched.modulo import (
     ModuloScheduleError,
     modulo_schedule,
     modulo_schedule_reference,
-    swp_register_pressure,
 )
 from repro.resilience.faults import get_injector
 from repro.sched.precompute import SchedPrecomp
-from repro.sched.regpressure import max_live, spill_cycles
+from repro.sched.regpressure import spill_cycles
 from repro.simulate.cache import (
     bandwidth_floor_per_iteration,
     effective_load_latency,
     icache_entry_penalty,
 )
-from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
-from repro.transforms.unroll import UnrollResult
+from repro.transforms.pipeline import OptimizationPlan
 
 #: Fixed cycles to enter a loop (live-in setup, first-bundle fetch).
 ENTRY_OVERHEAD = 3
@@ -107,7 +138,8 @@ class _SchedCell:
     original operation order, so a cell hit is bit-identical to a fresh
     schedule.  The fast engine attaches a cell to every part it analyses:
     the second SWP regime reuses the first one's scalars for remainders
-    and for mains it does not pipeline.
+    and for mains it does not pipeline, and every factor of a loop shares
+    its remainder's cell.
     """
 
     __slots__ = ("value",)
@@ -117,25 +149,34 @@ class _SchedCell:
 
 
 @dataclass(frozen=True)
+class PartAnalysis:
+    """Dependences, scheduler tables and the list-schedule cell of one
+    coded loop part."""
+
+    deps: CodedDeps
+    pre: SchedPrecomp
+    cell: _SchedCell
+
+
+@dataclass(frozen=True)
 class LoopAnalysis:
     """The regime-independent half of costing one (loop, factor, plan).
 
     Everything here is a pure function of the source loop, the unroll
     factor, the cleanup plan, and the *base* machine — software pipelining
-    plays no part, so one analysis serves both scheduling regimes.
+    plays no part, so one analysis serves both scheduling regimes.  The
+    remainder's :class:`PartAnalysis` is the loop's one remainder analysis,
+    shared by every factor that leaves a remainder (see
+    :meth:`CostModel._remainder_analysis`).
     """
 
     loop: Loop  # retained for structural verification on cache hits
     base_machine: MachineModel
     machine: MachineModel  # base machine with the loop's effective load latency
     bw_floor: float
-    result: UnrollResult
-    main_deps: DependenceGraph | None
-    main_pre: SchedPrecomp | None
-    rem_deps: DependenceGraph | None
-    rem_pre: SchedPrecomp | None
-    main_cell: _SchedCell | None = None
-    rem_cell: _SchedCell | None = None
+    result: CodedUnroll
+    main: PartAnalysis | None
+    rem: PartAnalysis | None
 
 
 class AnalysisCache:
@@ -264,9 +305,10 @@ class CostModel:
         analysis: the analysis cache to use; pass a shared instance to let
             several models (typically the two SWP regimes) reuse each
             other's analyses.  ``None`` creates a private cache.
-        engine: ``"fast"`` (two-stage, cached, table-driven schedulers) or
-            ``"reference"`` (the original single-stage path; bit-identical
-            results, kept as the equivalence oracle).
+        engine: ``"fast"`` (two-stage, cached, coded bodies, table-driven
+            schedulers) or ``"reference"`` (the original single-stage path
+            on the object IR; bit-identical results, kept as the
+            equivalence oracle).
     """
 
     def __init__(
@@ -320,30 +362,51 @@ class CostModel:
     def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
         machine = self._machine_for(loop)
         bw_floor = self._bandwidth_floor(loop)
-        result = optimize_for_factor(loop, factor, self.plan)
-        main_deps = main_pre = rem_deps = rem_pre = None
-        main_cell = rem_cell = None
+        result = optimize_for_factor(lower(loop), factor, self.plan)
+        main = rem = None
         if result.main is not None:
-            main_deps = analyze_dependences(result.main)
-            main_pre = SchedPrecomp.build(main_deps, machine)
-            main_cell = _SchedCell()
+            main = self._part_analysis(result.main, machine)
         if result.remainder is not None:
-            rem_deps = analyze_dependences(result.remainder)
-            rem_pre = SchedPrecomp.build(rem_deps, machine)
-            rem_cell = _SchedCell()
+            rem = self._remainder_analysis(loop, result.remainder, machine)
         return LoopAnalysis(
             loop=loop,
             base_machine=self.machine,
             machine=machine,
             bw_floor=bw_floor,
             result=result,
-            main_deps=main_deps,
-            main_pre=main_pre,
-            rem_deps=rem_deps,
-            rem_pre=rem_pre,
-            main_cell=main_cell,
-            rem_cell=rem_cell,
+            main=main,
+            rem=rem,
         )
+
+    @staticmethod
+    def _part_analysis(part: CodedPart, machine: MachineModel) -> PartAnalysis:
+        deps = analyze_dependences(part)
+        return PartAnalysis(deps, SchedPrecomp.build(deps, machine), _SchedCell())
+
+    def _remainder_analysis(
+        self, loop: Loop, part: CodedPart, machine: MachineModel
+    ) -> PartAnalysis:
+        """The loop's one remainder analysis on ``machine``.
+
+        A remainder is the source body with every affine offset shifted by
+        ``coeff * base``; dependence distances depend only on offset
+        differences between same-stride references, so its dependences,
+        tables, list schedule and pressure equal the source body's at every
+        factor.  It is memoised on the :class:`Loop` instance next to the
+        coded form (bounded by the loop's lifetime, left out of pickles);
+        only ``trips`` differs between factors, and the float arithmetic
+        past the cell's scalars runs per query.
+        """
+        memo = loop.__dict__.get("_remainders")
+        if memo is None:
+            memo = []
+            object.__setattr__(loop, "_remainders", memo)
+        for known, analysis in memo:
+            if known is machine or known == machine:
+                return analysis
+        analysis = self._part_analysis(part, machine)
+        memo.append((machine, analysis))
+        return analysis
 
     # ------------------------------------------------------------------
     # Stage 2: per-regime scheduling and cost assembly.
@@ -369,25 +432,13 @@ class CostModel:
                 spill,
                 swp_used,
             ) = self._part_cycles(
-                result.main,
-                analysis.main_deps,
-                analysis.main_pre,
-                machine,
-                bw_floor,
-                allow_swp=True,
-                cell=analysis.main_cell,
+                result.main, analysis.main, machine, bw_floor, allow_swp=True
             )
 
         rem_cycles = 0.0
         if result.remainder is not None:
             rem_cycles, _, _, _, rem_spill, _ = self._part_cycles(
-                result.remainder,
-                analysis.rem_deps,
-                analysis.rem_pre,
-                machine,
-                bw_floor,
-                allow_swp=False,
-                cell=analysis.rem_cell,
+                result.remainder, analysis.rem, machine, bw_floor, allow_swp=False
             )
             spill += rem_spill
 
@@ -438,13 +489,11 @@ class CostModel:
 
     def _part_cycles(
         self,
-        part: Loop,
-        deps: DependenceGraph,
-        pre: SchedPrecomp,
+        part: CodedPart,
+        analysis: PartAnalysis,
         machine: MachineModel,
         bw_floor: float,
         allow_swp: bool,
-        cell: _SchedCell | None = None,
     ) -> tuple[float, float, int | None, int | None, float, bool]:
         """Cycles per entry for one loop part (main or remainder).
 
@@ -452,13 +501,16 @@ class CostModel:
         original iteration; one body execution covers ``unroll_factor``
         iterations, so the body period is floored at ``bw_floor * factor``.
 
-        ``cell``, when given, memoises the list path's scheduling scalars
-        across queries of the same analysis entry (the second SWP regime,
-        factors sharing a remainder); the arithmetic past the scalars runs
+        The analysis's cell memoises the list path's scheduling scalars
+        across queries (the second SWP regime, every factor sharing the
+        loop's remainder analysis); the arithmetic past the scalars runs
         unconditionally, in the original order, so hits are bit-identical.
 
         Returns ``(cycles, period, ii, stages, spill, swp_used)``.
         """
+        deps = analysis.deps
+        pre = analysis.pre
+        cell = analysis.cell
         trips = part.trip.runtime
         body_floor = bw_floor * part.unroll_factor
 
@@ -487,14 +539,13 @@ class CostModel:
                     True,
                 )
 
-        if cell is not None and cell.value is not None:
+        if cell.value is not None:
             steady, pressure = cell.value
         else:
             schedule = list_schedule(deps, machine, pre=pre)
             pressure = max_live(deps, schedule)
             steady = steady_state_cycles(deps, schedule, machine, pre=pre)
-            if cell is not None:
-                cell.value = (steady, pressure)
+            cell.value = (steady, pressure)
         base_period = max(steady, body_floor)
         # Spill cost is bounded relative to the loop itself: the allocator
         # spills cheapest-first, so over-unrolling degrades, never explodes.
@@ -551,7 +602,7 @@ class CostModel:
     def _loop_cost_reference(self, loop: Loop, factor: int) -> LoopCost:
         machine = self._machine_for(loop)
         bw_floor = self._bandwidth_floor(loop)
-        result = optimize_for_factor(loop, factor, self.plan)
+        result = transforms.optimize_for_factor(loop, factor, self.plan)
 
         main_cycles = 0.0
         main_period = 0.0
@@ -620,7 +671,7 @@ class CostModel:
     ) -> tuple[float, float, int | None, int | None, float, bool]:
         """Single-stage part costing: re-analyse and schedule with the
         table-free reference schedulers."""
-        deps = analyze_dependences(part)
+        deps = dependence.analyze_dependences(part)
         trips = part.trip.runtime
         body_floor = bw_floor * part.unroll_factor
 
@@ -630,7 +681,7 @@ class CostModel:
             except ModuloScheduleError:
                 kernel = None
             if kernel is not None and trips > kernel.stages:
-                int_need, fp_need = swp_register_pressure(deps, kernel)
+                int_need, fp_need = modulo.swp_register_pressure(deps, kernel)
                 rotating = machine.rotating_regs
                 excess = max(0, int_need - rotating) + max(0, fp_need - rotating)
                 ii_eff = kernel.ii + -(-excess // 4) if excess else kernel.ii
@@ -646,7 +697,7 @@ class CostModel:
                 )
 
         schedule = list_schedule_reference(deps, machine)
-        pressure = max_live(deps, schedule)
+        pressure = regpressure.max_live(deps, schedule)
         base_period = max(steady_state_cycles_reference(deps, schedule, machine), body_floor)
         spill = min(
             spill_cycles(pressure, machine),

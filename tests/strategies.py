@@ -5,11 +5,26 @@ from hypothesis import strategies as st
 
 from repro.features.catalog import N_FEATURES
 from repro.ir.builder import LoopBuilder
+from repro.ir.instruction import Instruction
 from repro.ir.loop import TripInfo
 from repro.ir.types import MAX_UNROLL, CmpOp, DType, Opcode
 from repro.pipeline.measurements import MeasurementTable
+from repro.transforms.pipeline import OptimizationPlan
+from repro.workloads.patterns import PATTERNS, emit_search_exit
 
 FP_OPS = [Opcode.FADD, Opcode.FSUB, Opcode.FMUL]
+
+#: The default cleanup plan plus every single-switch ablation the benches
+#: use, and all switches off.
+PLANS = [
+    OptimizationPlan(),
+    OptimizationPlan(scalar_replacement=False),
+    OptimizationPlan(coalescing=False),
+    OptimizationPlan(dead_code_elimination=False),
+    OptimizationPlan(
+        scalar_replacement=False, coalescing=False, dead_code_elimination=False
+    ),
+]
 
 
 def assert_tables_bit_identical(a: MeasurementTable, b: MeasurementTable) -> None:
@@ -250,3 +265,64 @@ def early_exit_loops(draw):
     if draw(st.booleans()):
         builder.store(running, "partial")
     return builder.build(), key, exit_at
+
+
+@st.composite
+def pattern_loops(draw):
+    """A loop composed from the workload generator's pattern emitters, with
+    the shapes :func:`random_loops` never builds: indirect gathers and
+    scatters, while-style loops with early exits, non-unit and mismatched
+    strides on one array, predicated stores, and wide (``LOAD_PAIR``)
+    references overlapping narrow ones."""
+    trip = draw(st.integers(min_value=1, max_value=40))
+    while_style = draw(st.booleans())
+    known = not while_style and draw(st.booleans())
+    builder = LoopBuilder(
+        "pattern",
+        TripInfo(
+            runtime=trip,
+            compile_time=trip if known else None,
+            counted=not while_style,
+        ),
+    )
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    names = draw(
+        st.lists(
+            st.sampled_from(sorted(name for name in PATTERNS if name != "search_exit")),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    if while_style or draw(st.booleans()):
+        emit_search_exit(builder, rng, tag="exit")
+    for index, name in enumerate(names):
+        PATTERNS[name](builder, rng, tag=f"p{index}")
+    if draw(st.booleans()):
+        # Strides other than 1 on one array (negative and zero included):
+        # a strided load, a store at the same or another stride, and
+        # (coalescing fodder) an even-stride pair.
+        stride = draw(st.sampled_from([-1, 0, 2, 3, 4]))
+        base = trip + MAX_UNROLL if stride < 0 else 0  # stays in bounds
+        value = builder.load("strided", stride=stride, offset=base + draw(st.integers(0, 3)))
+        builder.load("strided", stride=2, offset=0)
+        builder.load("strided", stride=2, offset=1)
+        store_stride = draw(st.sampled_from([1, 2, stride]))
+        builder.store(value, "strided", stride=store_stride,
+                      offset=(base if store_stride < 0 else 0) + draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        # A wide load overlapping narrow stores of the same array.
+        first, second = builder.reg(DType.F64), builder.reg(DType.F64)
+        builder.emit(Instruction(
+            Opcode.LOAD_PAIR, dest=first, dest2=second,
+            mem=builder.mem("wide", stride=2, offset=draw(st.integers(0, 2)), width=2),
+        ))
+        builder.store(builder.fp(Opcode.FADD, first, second), "wide",
+                      stride=draw(st.sampled_from([1, 2])), offset=draw(st.integers(0, 3)))
+    if draw(st.booleans()):
+        # A predicated store into the array a load reads: it kills the
+        # load's forwarding and, once unrolled, sits between the copies'
+        # coalescable loads.
+        value = builder.load("guarded")
+        pred = builder.cmp(CmpOp.LT, value, builder.fconst(0.5), fp=True)
+        builder.store(value, "guarded", offset=draw(st.integers(0, 2)), pred=pred)
+    return builder.build()

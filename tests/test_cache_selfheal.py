@@ -28,6 +28,7 @@ from repro.pipeline import (
     measure_suite,
     resolve_jobs,
 )
+from repro.resilience import CheckpointJournal
 from repro.simulate import NOISELESS
 from tests.strategies import measurement_tables
 
@@ -239,6 +240,43 @@ class TestCacheCLI:
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
         assert "removed" in capsys.readouterr().out
         assert store.entries() == []
+
+    def test_checkpoint_journals_are_counted_collected_and_cleared(
+        self, mini_table, tmp_path, capsys
+    ):
+        store = CacheStore(tmp_path)
+        store.store("done", mini_table)
+
+        def journal(name, run_key):
+            path = tmp_path / f"journal_{name}.jsonl"
+            with CheckpointJournal(path, run_key) as handle:
+                handle.commit("b0:u1", {"measured": [1.0]})
+            return path
+
+        retired = journal("abc-dedup", "abc-dedup")
+        finished = journal("done", "done")  # its table is already cached
+        resumable = journal("open", "open")
+        foreign = tmp_path / "journal_foreign.jsonl"
+        foreign.write_text('{"format": "something-else"}\n')
+
+        assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "4 checkpoint journal(s)" in out
+        stats = store.stats()
+        assert stats.n_journals == 4
+        assert stats.journal_bytes == sum(
+            p.stat().st_size for p in (retired, finished, resumable, foreign)
+        )
+
+        assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 3" in capsys.readouterr().out
+        assert store.journals() == [resumable]
+        assert store.load("done") is not None
+        assert CheckpointJournal(resumable, "open").load() == 1
+
+        assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
+        assert "removed 2" in capsys.readouterr().out
+        assert store.journals() == [] and store.entries() == []
 
     def test_cache_commands_survive_planted_garbage(self, tmp_path, capsys):
         """Acceptance: a corrupt cache file never crashes any CLI command."""

@@ -48,19 +48,12 @@ from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.spec_names import ROSTER
 
-from tests.strategies import assert_tables_bit_identical, measurement_tables, random_loops
-
-#: The default plan plus every single-switch ablation the benches use.
-PLANS = [
-    OptimizationPlan(),
-    OptimizationPlan(scalar_replacement=False),
-    OptimizationPlan(coalescing=False),
-    OptimizationPlan(dead_code_elimination=False),
-    OptimizationPlan(
-        scalar_replacement=False, coalescing=False, dead_code_elimination=False
-    ),
-]
-
+from tests.strategies import (
+    PLANS,
+    assert_tables_bit_identical,
+    measurement_tables,
+    random_loops,
+)
 
 class TestCostModelEquivalence:
     """Property: the two-stage cached engine is bit-identical to the seed's
