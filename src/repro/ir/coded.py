@@ -633,7 +633,12 @@ class CodedDeps:
         )
 
 
-def analyze_dependences(part: CodedPart, max_carried_distance: int = 8) -> CodedDeps:
+# The bound on loop-carried memory distances; it matches the default of
+# ``repro.ir.dependence.analyze_dependences``.
+_MAX_CARRIED_DISTANCE = 8
+
+
+def analyze_dependences(part: CodedPart) -> CodedDeps:
     """Coded :func:`repro.ir.dependence.analyze_dependences`.
 
     Emits each edge the object analysis keeps after its de-duplication,
@@ -707,7 +712,7 @@ def analyze_dependences(part: CodedPart, max_carried_distance: int = 8) -> Coded
                 elif a is not b or a_store:
                     append((a_pos, b_pos, _MEM_MAY, 1))
                 continue
-            distance = _min_overlap_distance(a_mem, b_mem, a_pos < b_pos, max_carried_distance)
+            distance = _min_overlap_distance(a_mem, b_mem, a_pos < b_pos)
             if distance is not None:
                 kind = (
                     _MEM_OUTPUT if a_store and b_store else _MEM_FLOW if a_store else _MEM_ANTI
@@ -723,10 +728,11 @@ def analyze_dependences(part: CodedPart, max_carried_distance: int = 8) -> Coded
     return CodedDeps(part, edges)
 
 
-def _min_overlap_distance(earlier, later, allow_zero: bool, max_distance: int):
-    """The smallest distance ``d`` in ``[0 or 1, max_distance]`` at which
-    the object analysis's ``_mem_overlap_distances`` reports an overlap of
-    two affine references (``d = 0`` only when ``allow_zero``), or ``None``.
+def _min_overlap_distance(earlier, later, allow_zero: bool):
+    """The smallest distance ``d`` in ``[0 or 1, _MAX_CARRIED_DISTANCE]``
+    at which the object analysis's ``_mem_overlap_distances`` reports an
+    overlap of two affine references (``d = 0`` only when
+    ``allow_zero``), or ``None``.
     """
     first = 0 if allow_zero else 1
     ce, oe, we = earlier[_COEFF], earlier[_OFFSET], earlier[_WIDTH]
@@ -737,13 +743,13 @@ def _min_overlap_distance(earlier, later, allow_zero: bool, max_distance: int):
     lo = -(wl - 1) - (ol - oe)
     hi = (we - 1) - (ol - oe)
     if cl == 0:
-        return first if lo <= 0 <= hi and first <= max_distance else None
+        return first if lo <= 0 <= hi else None
     if cl > 0:
         d_min, d_max = -(-lo // cl), hi // cl
     else:
         d_min, d_max = -(-hi // cl), lo // cl
     d = d_min if d_min > first else first
-    return d if d <= d_max and d <= max_distance else None
+    return d if d <= d_max and d <= _MAX_CARRIED_DISTANCE else None
 
 
 # ----------------------------------------------------------------------

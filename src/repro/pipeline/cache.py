@@ -282,10 +282,9 @@ class CacheStore:
         for path in self.quarantined() + self.stale_tmp():
             path.unlink(missing_ok=True)
             removed.append(path)
-        for path in self.journals():
-            if self.journal_is_dead(path):
-                path.unlink(missing_ok=True)
-                removed.append(path)
+        # Entries first: a journal counts as finished only if its table
+        # survives this pass, so a corrupt table leaves its journal to
+        # resume from.
         for path in self.entries():
             try:
                 MeasurementTable.load(path)
@@ -294,6 +293,10 @@ class CacheStore:
                 removed.append(path)
             except FileNotFoundError:
                 pass
+        for path in self.journals():
+            if self.journal_is_dead(path):
+                path.unlink(missing_ok=True)
+                removed.append(path)
         return removed
 
     def clear(self) -> int:

@@ -246,6 +246,7 @@ class TestCacheCLI:
     ):
         store = CacheStore(tmp_path)
         store.store("done", mini_table)
+        store.store("broken", mini_table)
 
         def journal(name, run_key):
             path = tmp_path / f"journal_{name}.jsonl"
@@ -256,26 +257,32 @@ class TestCacheCLI:
         retired = journal("abc-dedup", "abc-dedup")
         finished = journal("done", "done")  # its table is already cached
         resumable = journal("open", "open")
+        # Its table went bad after it was stored: gc prunes the table and
+        # keeps the journal, the only record left to resume from.
+        orphaned = journal("broken", "broken")
+        store.path_for("broken").write_bytes(b"\x1f\x8b broken")
         foreign = tmp_path / "journal_foreign.jsonl"
         foreign.write_text('{"format": "something-else"}\n')
 
         assert main(["cache", "stats", "--cache-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
-        assert "4 checkpoint journal(s)" in out
+        assert "5 checkpoint journal(s)" in out
         stats = store.stats()
-        assert stats.n_journals == 4
+        assert stats.n_journals == 5
         assert stats.journal_bytes == sum(
-            p.stat().st_size for p in (retired, finished, resumable, foreign)
+            p.stat().st_size for p in (retired, finished, resumable, orphaned, foreign)
         )
 
         assert main(["cache", "gc", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 3" in capsys.readouterr().out
-        assert store.journals() == [resumable]
+        assert "removed 4" in capsys.readouterr().out
+        assert sorted(store.journals()) == sorted([resumable, orphaned])
+        assert not store.path_for("broken").exists()
         assert store.load("done") is not None
         assert CheckpointJournal(resumable, "open").load() == 1
+        assert CheckpointJournal(orphaned, "broken").load() == 1
 
         assert main(["cache", "clear", "--cache-dir", str(tmp_path)]) == 0
-        assert "removed 2" in capsys.readouterr().out
+        assert "removed 3" in capsys.readouterr().out
         assert store.journals() == [] and store.entries() == []
 
     def test_cache_commands_survive_planted_garbage(self, tmp_path, capsys):
