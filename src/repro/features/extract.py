@@ -21,6 +21,12 @@ from repro.sched.modulo import recurrence_mii, resource_mii
 from repro.sched.precompute import SchedPrecomp
 from repro.sched.regpressure import max_live
 
+_PRED = DType.PRED
+_INT_CATEGORIES = (OpCategory.INT_ALU, OpCategory.INT_MUL, OpCategory.INT_DIV)
+_MULDIV_CATEGORIES = (
+    OpCategory.INT_MUL, OpCategory.INT_DIV, OpCategory.FP_MUL, OpCategory.FP_DIV
+)
+
 
 def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray:
     """The 38-feature vector of one loop (float64, catalog order)."""
@@ -34,44 +40,52 @@ def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray
     heights = deps.dependence_heights()
     fan_in = deps.fan_in_degrees()
 
+    # Every body count in one walk (each instruction's flags are plain
+    # opcode attributes; see ``repro.ir.types``).
     n_ops = len(body)
-    n_fp = sum(1 for inst in body if inst.op.is_fp)
-    n_branches = sum(1 for inst in body if inst.op.is_branch)
-    n_loads = sum(1 for inst in body if inst.op.is_load)
-    n_stores = sum(1 for inst in body if inst.op.is_store)
+    n_fp = n_branches = n_loads = n_stores = n_operands = n_implicit = 0
+    n_int = n_muldiv = n_indirect = n_affine = stride_one = n_uses = n_defs = 0
+    predicates = set()
+    for inst in body:
+        op = inst.op
+        if op.is_fp:
+            n_fp += 1
+        if op.is_branch:
+            n_branches += 1
+        if op.is_load:
+            n_loads += 1
+        elif op.is_store:
+            n_stores += 1
+        category = op.category
+        if category in _INT_CATEGORIES:
+            n_int += 1
+        if category in _MULDIV_CATEGORIES:
+            n_muldiv += 1
+        n_operands += inst.n_operands
+        if inst.implicit:
+            n_implicit += 1
+        for reg in inst.reg_srcs():
+            n_uses += 1
+            if reg.dtype is _PRED:
+                predicates.add(reg)
+        for reg in inst.reg_dests():
+            n_defs += 1
+            if reg.dtype is _PRED:
+                predicates.add(reg)
+        mem = inst.mem
+        if mem is not None:
+            if mem.indirect:
+                n_indirect += 1
+            else:
+                n_affine += 1
+                if abs(mem.index.coeff) == 1:
+                    stride_one += 1
     n_mem = n_loads + n_stores
-    n_operands = sum(inst.n_operands for inst in body)
-    n_implicit = sum(1 for inst in body if inst.implicit)
-    predicates = {
-        reg
-        for inst in body
-        for reg in list(inst.reg_dests()) + list(inst.reg_srcs())
-        if reg.dtype is DType.PRED
-    }
-    n_int = sum(
-        1
-        for inst in body
-        if inst.op.category in (OpCategory.INT_ALU, OpCategory.INT_MUL, OpCategory.INT_DIV)
-    )
-    n_muldiv = sum(
-        1
-        for inst in body
-        if inst.op.category
-        in (OpCategory.INT_MUL, OpCategory.INT_DIV, OpCategory.FP_MUL, OpCategory.FP_DIV)
-    )
-
-    mem_refs = [inst.mem for inst in body if inst.mem is not None]
-    n_indirect = sum(1 for m in mem_refs if m.indirect)
-    affine_refs = [m for m in mem_refs if not m.indirect]
-    stride_one = sum(1 for m in affine_refs if abs(m.stride) == 1)
-    stride_one_frac = stride_one / len(affine_refs) if affine_refs else 0.0
+    stride_one_frac = stride_one / n_affine if n_affine else 0.0
 
     mem_dep_edges = [e for e in deps.edges if e.kind.is_memory]
     carried_mem = [e.distance for e in mem_dep_edges if e.distance >= 1]
     min_carried_mem = min(carried_mem) if carried_mem else -1
-
-    n_uses = sum(1 for inst in body for _ in inst.reg_srcs())
-    n_defs = sum(1 for inst in body for _ in inst.reg_dests())
 
     trip = loop.trip
     tripcount = trip.compile_time if trip.known else -1
@@ -92,7 +106,9 @@ def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray
     vector[12] = max(heights) if heights else 0
     vector[13] = deps.memory_chain_height()
     vector[14] = deps.control_chain_height()
-    vector[15] = float(np.mean(heights)) if heights else 0.0
+    # Exact integer sums divided once: bit-equal to ``np.mean`` (which sums
+    # the int64 heights in float64, exactly below 2**53, then divides).
+    vector[15] = sum(heights) / len(heights) if heights else 0.0
     vector[16] = n_indirect
     vector[17] = min_carried_mem
     vector[18] = len(mem_dep_edges)
@@ -107,7 +123,7 @@ def extract_features(loop: Loop, machine: MachineModel = ITANIUM2) -> np.ndarray
     vector[27] = len(loop.referenced_arrays())
     vector[28] = len(loop.carried_regs())
     vector[29] = pressure.total
-    vector[30] = float(np.mean(fan_in)) if fan_in else 0.0
+    vector[30] = sum(fan_in) / len(fan_in) if fan_in else 0.0
     vector[31] = 1.0 if trip.known else 0.0
     vector[32] = machine.code_bytes(n_ops)
     vector[33] = n_mem / n_ops if n_ops else 0.0

@@ -42,20 +42,18 @@ class DepKind(enum.Enum):
     MEM_MAY = "mem_may"  # conservative edge (indirect reference)
     CONTROL = "control"  # exit branch -> later side effect
 
-    @property
-    def is_memory(self) -> bool:
-        return self in (
-            DepKind.MEM_FLOW,
-            DepKind.MEM_ANTI,
-            DepKind.MEM_OUTPUT,
-            DepKind.MEM_MAY,
-        )
+    # ``code`` and ``is_memory`` are plain member attributes installed below
+    # (as on ``Opcode``): feature extraction reads them once per edge.
 
 
 #: Small integer id per kind (declaration order): the kind's form in the
 #: edge tuples of :mod:`repro.ir.coded` and :class:`SchedPrecomp`'s build.
+#: ``is_memory``: the edge orders two memory operations.
 for _code, _kind in enumerate(DepKind):
     _kind.code = _code
+    _kind.is_memory = _kind in (
+        DepKind.MEM_FLOW, DepKind.MEM_ANTI, DepKind.MEM_OUTPUT, DepKind.MEM_MAY
+    )
 del _code, _kind
 
 

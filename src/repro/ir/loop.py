@@ -106,13 +106,33 @@ class Loop:
             raise ValueError("unroll factor must be >= 1")
 
     def __getstate__(self) -> dict:
-        # Pickles carry the fields only: instance memos (the cost model's
-        # coded form and remainder analyses) are rebuilt on use.
+        # Pickles carry the fields only: instance memos (the live-in
+        # classes, the cost model's coded form, remainder analyses and
+        # memory profile) are rebuilt on use.
         return {f.name: getattr(self, f.name) for f in fields(self)}
 
     # ------------------------------------------------------------------
     # Register classification.
     # ------------------------------------------------------------------
+
+    def _live_in_classes(self) -> tuple[frozenset[Reg], frozenset[Reg]]:
+        """``(carried, invariant)``: the live-ins split by whether the body
+        also writes them, from one walk of the body.  Memoised on the
+        instance (the body is immutable; the memo is left out of pickles),
+        so validation, dependence analysis and feature extraction of one
+        loop share a single walk."""
+        classes = self.__dict__.get("_live_in_memo")
+        if classes is None:
+            written: set[Reg] = set()
+            live_in: set[Reg] = set()
+            for inst in self.body:
+                for reg in inst.reg_srcs():
+                    if reg not in written:
+                        live_in.add(reg)
+                written.update(inst.reg_dests())
+            classes = (frozenset(live_in & written), frozenset(live_in - written))
+            object.__setattr__(self, "_live_in_memo", classes)
+        return classes
 
     def defined_regs(self) -> set[Reg]:
         """Registers written anywhere in the body."""
@@ -122,26 +142,20 @@ class Loop:
         """Registers read anywhere in the body."""
         return {reg for inst in self.body for reg in inst.reg_srcs()}
 
-    def live_in_regs(self) -> set[Reg]:
+    def live_in_regs(self) -> frozenset[Reg]:
         """Registers whose value flows into the body from outside or from
         the previous iteration (read before any write in body order)."""
-        written: set[Reg] = set()
-        live_in: set[Reg] = set()
-        for inst in self.body:
-            for reg in inst.reg_srcs():
-                if reg not in written:
-                    live_in.add(reg)
-            written.update(inst.reg_dests())
-        return live_in
+        carried, invariant = self._live_in_classes()
+        return carried | invariant
 
-    def carried_regs(self) -> set[Reg]:
+    def carried_regs(self) -> frozenset[Reg]:
         """Registers carried around the backedge (read-before-write *and*
         written) — the loop's scalar recurrences."""
-        return self.live_in_regs() & self.defined_regs()
+        return self._live_in_classes()[0]
 
-    def invariant_regs(self) -> set[Reg]:
+    def invariant_regs(self) -> frozenset[Reg]:
         """Loop-invariant live-ins (read but never written)."""
-        return self.live_in_regs() - self.defined_regs()
+        return self._live_in_classes()[1]
 
     # ------------------------------------------------------------------
     # Structural queries used throughout the system.

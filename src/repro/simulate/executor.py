@@ -326,8 +326,6 @@ class CostModel:
         self.plan = plan or OptimizationPlan()
         self.engine = engine
         self.analysis = analysis if analysis is not None else AnalysisCache()
-        self._latency_cache: dict[str, int] = {}
-        self._floor_cache: dict[str, float] = {}
         self._machine_variants: dict[int, MachineModel] = {}
 
     # ------------------------------------------------------------------
@@ -361,7 +359,7 @@ class CostModel:
 
     def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
         machine = self._machine_for(loop)
-        bw_floor = self._bandwidth_floor(loop)
+        bw_floor = self._memory_profile(loop)[1]
         result = optimize_for_factor(lower(loop), factor, self.plan)
         main = rem = None
         if result.main is not None:
@@ -566,12 +564,24 @@ class CostModel:
     # Shared per-loop memory analyses (regime- and factor-independent).
     # ------------------------------------------------------------------
 
-    def _effective_latency(self, loop: Loop) -> int:
-        cached = self._latency_cache.get(loop.name)
-        if cached is None:
-            cached = effective_load_latency(loop, self.machine)
-            self._latency_cache[loop.name] = cached
-        return cached
+    def _memory_profile(self, loop: Loop) -> tuple[int, float]:
+        """``loop``'s effective load latency and bandwidth floor on the base
+        machine.  Memoised on the :class:`Loop` instance (like the coded
+        form and the remainder analyses), never by name: two loops that
+        share a name may touch memory differently."""
+        memo = loop.__dict__.get("_memory_profile")
+        if memo is None:
+            memo = []
+            object.__setattr__(loop, "_memory_profile", memo)
+        for known, profile in memo:
+            if known is self.machine or known == self.machine:
+                return profile
+        profile = (
+            effective_load_latency(loop, self.machine),
+            bandwidth_floor_per_iteration(loop, self.machine),
+        )
+        memo.append((self.machine, profile))
+        return profile
 
     def _machine_for(self, loop: Loop) -> MachineModel:
         """The base machine with ``loop``'s effective load latency.
@@ -580,19 +590,12 @@ class CostModel:
         behaviour share one machine instance (and therefore one scheduler
         opcode-row cache) instead of rebuilding the description per loop.
         """
-        eff_latency = self._effective_latency(loop)
+        eff_latency = self._memory_profile(loop)[0]
         machine = self._machine_variants.get(eff_latency)
         if machine is None:
             machine = self.machine.with_load_latency(eff_latency)
             self._machine_variants[eff_latency] = machine
         return machine
-
-    def _bandwidth_floor(self, loop: Loop) -> float:
-        cached = self._floor_cache.get(loop.name)
-        if cached is None:
-            cached = bandwidth_floor_per_iteration(loop, self.machine)
-            self._floor_cache[loop.name] = cached
-        return cached
 
     # ------------------------------------------------------------------
     # Reference engine: the original single-stage path, retained as the
@@ -601,7 +604,7 @@ class CostModel:
 
     def _loop_cost_reference(self, loop: Loop, factor: int) -> LoopCost:
         machine = self._machine_for(loop)
-        bw_floor = self._bandwidth_floor(loop)
+        bw_floor = self._memory_profile(loop)[1]
         result = transforms.optimize_for_factor(loop, factor, self.plan)
 
         main_cycles = 0.0

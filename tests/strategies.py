@@ -57,6 +57,45 @@ def assert_tables_bit_identical(a: MeasurementTable, b: MeasurementTable) -> Non
                 f"{rows.tolist()} ({a.loop_names[rows].tolist()})"
             )
 
+#: Loop sources the parser must reject with a located ``ParseError``
+#: (``line L:C: ...``), each with a pattern its message matches.  Parsers
+#: that built a loop before validating it let the first five escape as
+#: ``ValidationError``/``OverflowError``/``ValueError``.
+MALFORMED_SOURCES = {
+    "redefined register": (
+        "loop t trip=8\n  %x = load a[i]\n  %x = load b[i]\n  store %x -> o[i]\nend\n",
+        r"line 3:3: .*register %x redefined",
+    ),
+    "non-predicate guard": (
+        "loop t trip=8\n  %x = load a[i]\n  (%x) store %x -> o[i]\nend\n",
+        r"line 3:3: .*predicate %x is not PRED-typed",
+    ),
+    "out-of-bounds index": (
+        "loop t trip=8\n  %x = load a[-5]\n  store %x -> o[i]\nend\n",
+        r"line 2:3: .*out of bounds",
+    ),
+    "overflowing option": (
+        "loop t trip=8 nest=1e400\n  %x = load a[i]\n  store %x -> o[i]\nend\n",
+        r"line 1:20: number 1e400 is out of range",
+    ),
+    "negative trip": (
+        "loop t trip=-3\n  %x = load a[i]\n  store %x -> o[i]\nend\n",
+        r"line 1:13: trip must be >= 1",
+    ),
+    "known while loop": (
+        "loop t trip=8 known while\n  %x = load a[i]\n  store %x -> o[i]\nend\n",
+        r"line 1:1: a compile-time-known loop is necessarily counted",
+    ),
+    "two-destination load": (
+        "loop t trip=8\n  %x, %y = load a[i]\n  store %x -> o[i]\nend\n",
+        r"line 2:7: only ldpair takes two destinations",
+    ),
+    "oversized immediate": (
+        "loop t trip=8\n  %x = add 1" + "0" * 5000 + ", 1\n  store %x -> o[i]\nend\n",
+        r"line 2:12: number 1000000000.*\.\.\. is out of range",
+    ),
+}
+
 #: Names as they appear on disk: any unicode except surrogates and NUL
 #: (numpy's fixed-width unicode arrays cannot represent either faithfully).
 _NAME_ALPHABET = st.characters(

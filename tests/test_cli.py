@@ -96,6 +96,16 @@ class TestCommands:
         assert main(["predict-file", str(source), *SCALE]) == 2
         assert "cannot read" in capsys.readouterr().out
 
+    def test_predict_file_reports_invalid_loops(self, tmp_path, capsys):
+        from tests.strategies import MALFORMED_SOURCES
+
+        for case, (text, message) in sorted(MALFORMED_SOURCES.items()):
+            source = tmp_path / "bad.rul"
+            source.write_text(text)
+            assert main(["predict-file", str(source), *SCALE]) == 2, case
+            out = capsys.readouterr().out
+            assert re.search(f"cannot read .*: {message}", out), (case, out)
+
     def test_suite_stats(self, capsys):
         assert main(["suite-stats", *SCALE]) == 0
         out = capsys.readouterr().out

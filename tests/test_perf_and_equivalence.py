@@ -146,9 +146,9 @@ class TestSchedPrecompTables:
         _assert_tables_follow_the_graph(DependenceGraph(body, edges), ITANIUM2)
 
 
-def _named_loop(name, op=Opcode.FADD, trip=32):
+def _named_loop(name, op=Opcode.FADD, trip=32, stride=1):
     builder = LoopBuilder(name, trip=TripInfo(runtime=trip))
-    value = builder.load("a")
+    value = builder.load("a", stride=stride)
     builder.store(builder.fp(op, value, builder.fconst(1.5)), "b")
     return builder.build()
 
@@ -179,6 +179,14 @@ class TestAnalysisCache:
         cost = model.loop_cost(impostor, 4)  # same key, different loop
         assert cache.misses == misses_before + 1
         assert cost == CostModel(engine="reference").loop_cost(impostor, 4)
+        # Same name, different memory behaviour: the effective load latency
+        # and bandwidth floor must follow the loop, not its name.
+        model.loop_cost(_named_loop("long", trip=4000), 4)
+        strided = _named_loop("long", trip=4000, stride=64)
+        cost = model.loop_cost(strided, 4)
+        assert cost == CostModel().loop_cost(strided, 4)
+        assert cost == CostModel(engine="reference").loop_cost(strided, 4)
+        assert cost.total_cycles == 48_015
 
     def test_invalid_maxsize_rejected(self):
         with pytest.raises(ValueError):

@@ -6,6 +6,8 @@ batches in request order regardless of concurrency, and accounts every
 request in its rollup.
 """
 
+import re
+
 import numpy as np
 import pytest
 
@@ -20,6 +22,7 @@ from repro.serve import (
     error_response,
 )
 
+from tests.strategies import MALFORMED_SOURCES
 from tests.test_model_artifacts import synthetic_dataset
 
 GOOD_SOURCE = (
@@ -142,6 +145,16 @@ class TestErrorTaxonomy:
     def test_unparseable_source(self, engine):
         error = self._error(engine, {"source": "loop broken\n  %x = frobnicate\nend"})
         assert error["type"] == ERROR_UNPARSEABLE_LOOP
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_SOURCES))
+    def test_unparseable_source_is_typed(self, engine, case):
+        # Sources that parse but fail validation, and header values out of
+        # range, are the client's fault: never an internal error.
+        source, message = MALFORMED_SOURCES[case]
+        for classifier in ("nn", "ensemble"):
+            error = self._error(engine, {"source": source, "classifier": classifier})
+            assert error["type"] == ERROR_UNPARSEABLE_LOOP
+            assert re.match(message, error["message"])
 
     def test_empty_source_has_no_loops(self, engine):
         error = self._error(engine, {"source": "   \n"})
