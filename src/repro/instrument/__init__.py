@@ -1,4 +1,8 @@
-"""Loop instrumentation: timers, measurement protocol, raw-data export."""
+"""Loop instrumentation: the raw-data export and the measurement rollup.
+
+The median-of-N timing protocol itself runs in
+:func:`repro.pipeline.labeling.measure_benchmark_factor`.
+"""
 
 from repro.instrument.report import (
     FORMAT_VERSION,
@@ -9,23 +13,13 @@ from repro.instrument.report import (
     read_records,
     write_records,
 )
-from repro.instrument.timers import (
-    LoopMeasurement,
-    LoopTimerBank,
-    measure_benchmark,
-    measure_loop,
-)
 
 __all__ = [
     "FORMAT_VERSION",
-    "LoopMeasurement",
     "LoopRecord",
-    "LoopTimerBank",
     "MeasurementRollup",
     "ResilienceEvent",
     "UnitTiming",
-    "measure_benchmark",
-    "measure_loop",
     "read_records",
     "write_records",
 ]

@@ -50,7 +50,7 @@ class UnitTiming:
     worker: int  # process id of the worker that ran the unit
     n_loops: int
     seconds: float
-    analysis_hits: int = 0  # loop analyses served from the shared cache
+    analysis_hits: int = 0  # loop analyses reused by the second regime
     analysis_misses: int = 0  # loop analyses computed from scratch
 
 
@@ -114,18 +114,12 @@ class MeasurementRollup:
         return busy
 
     def analysis_hits(self) -> int:
-        """Loop analyses served from the shared analysis cache."""
+        """Loop analyses reused by the second regime of a paired unit."""
         return sum(t.analysis_hits for t in self.timings)
 
     def analysis_misses(self) -> int:
         """Loop analyses computed from scratch."""
         return sum(t.analysis_misses for t in self.timings)
-
-    def analysis_hit_rate(self) -> float:
-        """Fraction of loop analyses served from cache (0.0 when nothing
-        was looked up)."""
-        total = self.analysis_hits() + self.analysis_misses()
-        return self.analysis_hits() / total if total else 0.0
 
     # ------------------------------------------------------------------
     # Latency/throughput view (used by the serving engine, where each
@@ -172,12 +166,9 @@ class MeasurementRollup:
             f"slowest unit {slowest.benchmark} u={slowest.factor} "
             f"({slowest.seconds:.2f}s, {slowest.n_loops} loops)"
         )
-        lookups = self.analysis_hits() + self.analysis_misses()
-        if lookups:
-            text += (
-                f"; analysis cache {self.analysis_hits()}/{lookups} hits "
-                f"({100.0 * self.analysis_hit_rate():.0f}%)"
-            )
+        reused = self.analysis_hits()
+        if reused:
+            text += f"; {reused} loop analyses reused across regimes"
         resilience = self.resilience_summary()
         if resilience:
             text += f"; {resilience}"

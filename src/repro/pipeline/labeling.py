@@ -59,7 +59,6 @@ from repro.resilience.executor import (
 )
 from repro.resilience.journal import CheckpointJournal
 from repro.simulate.executor import (
-    AnalysisCache,
     CostModel,
     reset_shared_cost_models,
     shared_cost_model,
@@ -120,9 +119,11 @@ def resolve_jobs(jobs: int | None = None) -> int:
 
 @dataclass(frozen=True)
 class UnitResult:
-    """Output of one measurement work unit: every loop of one benchmark at
-    one unroll factor, plus worker-attribution and analysis-cache traffic
-    for the timing rollup."""
+    """Output of one measurement work unit in one regime: every loop of one
+    benchmark at one unroll factor, plus worker attribution and analysis
+    accounting for the timing rollup.  ``analysis_misses`` counts the loop
+    analyses this regime built, ``analysis_hits`` those it reused from the
+    unit's earlier regime; ``seconds`` times this regime's pass alone."""
 
     bench_index: int
     factor: int
@@ -166,12 +167,85 @@ def unit_from_json(payload: dict) -> UnitResult:
     )
 
 
-def _pair_to_json(pair: tuple[UnitResult, UnitResult]) -> dict:
-    return {"off": unit_to_json(pair[0]), "on": unit_to_json(pair[1])}
+def _units_to_json(units: tuple[UnitResult, ...]) -> dict:
+    """Journal payload of one work unit: a single regime's result as
+    :func:`unit_to_json` writes it, a pair as ``{"off": ..., "on": ...}``."""
+    if len(units) == 1:
+        return unit_to_json(units[0])
+    return {"off": unit_to_json(units[0]), "on": unit_to_json(units[1])}
 
 
-def _pair_from_json(payload: dict) -> tuple[UnitResult, UnitResult]:
-    return unit_from_json(payload["off"]), unit_from_json(payload["on"])
+def _units_from_json(payload: dict) -> tuple[UnitResult, ...]:
+    """Inverse of :func:`_units_to_json`."""
+    if "off" in payload:
+        return unit_from_json(payload["off"]), unit_from_json(payload["on"])
+    return (unit_from_json(payload),)
+
+
+def _measure_unit(
+    benchmark: Benchmark,
+    bench_index: int,
+    factor: int,
+    configs: tuple[LabelingConfig, ...],
+    seed: np.random.SeedSequence,
+    cost_models: tuple[CostModel, ...] | None = None,
+) -> tuple[UnitResult, ...]:
+    """Execute one work unit in one or more regimes, back to back.
+
+    Mirrors the paper's protocol at its natural granularity: one binary —
+    every loop of ``benchmark`` compiled at ``factor`` — timed over
+    ``config.n_runs`` runs per regime.  Each regime rebuilds its RNG from
+    the unit's own seed child, so its result is independent of which
+    worker runs the unit, of the order units complete in, and of the other
+    regimes measured with it.  Each regime draws one ``(n_loops, n_runs)``
+    sample batch per the noise module's stream contract.
+
+    The analysis stage does not depend on the regime: the first
+    fast-engine regime analyses every loop once and keeps the list, later
+    regimes cost from it, and the list dies with the call.  ``cost_models``
+    default to the process-wide shared ``"fast"`` models; a
+    ``CostModel(engine="reference")`` yields the same result bit for bit.
+    """
+    if cost_models is None:
+        cost_models = tuple(shared_cost_model(c.machine, c.swp) for c in configs)
+    loops = benchmark.loops
+    entry_counts = np.array([loop.entry_count for loop in loops], dtype=np.int64)
+    analyses = analysed_by = None
+    units = []
+    for config, model in zip(configs, cost_models):
+        start = time.perf_counter()
+        hits = misses = 0
+        if model.engine == "reference":
+            costs = [model.loop_cost(loop, factor) for loop in loops]
+        else:
+            if analyses is None:
+                analyses = [model.analyze(loop, factor) for loop in loops]
+                analysed_by = (model.machine, model.plan)
+                misses = len(loops)
+            elif (model.machine, model.plan) != analysed_by:
+                raise ValueError("the regimes of one unit must share machine and plan")
+            else:
+                hits = len(loops)
+            costs = [
+                model.cost_from_analysis(loop, analysis)
+                for loop, analysis in zip(loops, analyses)
+            ]
+        true = np.array([cost.total_cycles for cost in costs], dtype=np.float64)
+        rng = np.random.default_rng(seed)
+        measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
+        units.append(
+            UnitResult(
+                bench_index=bench_index,
+                factor=factor,
+                measured=measured,
+                true_cycles=true,
+                worker=os.getpid(),
+                seconds=time.perf_counter() - start,
+                analysis_hits=hits,
+                analysis_misses=misses,
+            )
+        )
+    return tuple(units)
 
 
 def measure_benchmark_factor(
@@ -182,42 +256,14 @@ def measure_benchmark_factor(
     seed: np.random.SeedSequence,
     cost_model: CostModel | None = None,
 ) -> UnitResult:
-    """Execute one work unit (the parallel pipeline's worker entry point).
-
-    Mirrors the paper's protocol at its natural granularity: one binary —
-    every loop of ``benchmark`` compiled at ``factor`` — timed over
-    ``config.n_runs`` runs.  The unit owns an RNG derived from its own seed
-    child, so results are independent of which worker runs it and of the
-    order units complete in.  The unit draws one ``(n_loops, n_runs)``
-    sample batch per the noise module's stream contract.
+    """One work unit in ``config``'s regime (see :func:`_measure_unit`).
 
     ``cost_model`` defaults to the process-wide shared ``"fast"`` model; any
     other engine (``CostModel(engine="reference")``, say) yields the same
     result bit for bit.
     """
-    start = time.perf_counter()
-    if cost_model is None:
-        cost_model = shared_cost_model(config.machine, config.swp)
-    cache = cost_model.analysis
-    hits0, misses0 = cache.hits, cache.misses
-    rng = np.random.default_rng(seed)
-    n = benchmark.n_loops
-    true = np.empty(n)
-    entry_counts = np.empty(n, dtype=np.int64)
-    for i, loop in enumerate(benchmark.loops):
-        true[i] = cost_model.loop_cost(loop, factor).total_cycles
-        entry_counts[i] = loop.entry_count
-    measured = config.noise.batch_medians(true, entry_counts, rng, n=config.n_runs)
-    return UnitResult(
-        bench_index=bench_index,
-        factor=factor,
-        measured=measured,
-        true_cycles=true,
-        worker=os.getpid(),
-        seconds=time.perf_counter() - start,
-        analysis_hits=cache.hits - hits0,
-        analysis_misses=cache.misses - misses0,
-    )
+    models = None if cost_model is None else (cost_model,)
+    return _measure_unit(benchmark, bench_index, factor, (config,), seed, models)[0]
 
 
 def measure_benchmark_factor_pair(
@@ -231,37 +277,25 @@ def measure_benchmark_factor_pair(
 ) -> tuple[UnitResult, UnitResult]:
     """One work unit measured in both scheduling regimes back to back.
 
-    The SWP-off and SWP-on regimes share every analysis (unroll, cleanup,
-    dependences, scheduler tables): running them in one unit keeps the
-    shared :class:`~repro.simulate.executor.AnalysisCache` working set down
-    to a single benchmark's loops, so the second regime's analyses are all
-    hits.  Each regime's RNG is rebuilt from the same seed child, making
-    the pair bit-identical to two independent single-regime runs.
+    The SWP-on regime costs from the analyses the SWP-off regime built
+    (unroll, cleanup, dependences, scheduler tables), and the pair is
+    bit-identical to two independent single-regime units.
     """
-    if cost_models is None:
-        cost_models = (
-            shared_cost_model(config_off.machine, config_off.swp),
-            shared_cost_model(config_on.machine, config_on.swp),
-        )
-    off = measure_benchmark_factor(
-        benchmark, bench_index, factor, config_off, seed, cost_models[0]
+    return _measure_unit(
+        benchmark, bench_index, factor, (config_off, config_on), seed, cost_models
     )
-    on = measure_benchmark_factor(
-        benchmark, bench_index, factor, config_on, seed, cost_models[1]
-    )
-    return off, on
 
 
-def _run_labelling_units(tasks, jobs, resilience, journal, encode, decode):
+def _run_labelling_units(tasks, jobs, resilience, journal):
     """:func:`run_units` for one labelling run, with the cyclic garbage
     collector paused.
 
     Labelling creates no reference cycles, so every collection during a
-    run is pure cost: it walks the growing heap of live analyses and finds
-    nothing.  The pause covers the whole run, not each unit (re-enabling
-    between units still triggers most of the collections), and sits here
-    in the ``measure_suite*`` path rather than in ``run_units``, which
-    other callers run from threads.  The caller's collector state is
+    run is pure cost: it walks the heap and finds nothing.  The pause
+    covers the whole run, not each unit (re-enabling between units still
+    triggers most of the collections), and sits here in the
+    ``measure_suite*`` path rather than in ``run_units``, which other
+    callers run from threads.  The caller's collector state is
     restored on every exit.
     """
     enabled = gc.isenabled()
@@ -272,8 +306,8 @@ def _run_labelling_units(tasks, jobs, resilience, journal, encode, decode):
             jobs=jobs,
             config=resilience or DEFAULT_RESILIENCE,
             journal=journal,
-            encode=encode,
-            decode=decode,
+            encode=_units_to_json,
+            decode=_units_from_json,
             initializer=_init_labelling_worker,
         )
     finally:
@@ -376,11 +410,48 @@ class _TableAssembly:
         )
 
 
-def _bind_serial(benchmark, bi, factor, config, seed, cost_model):
-    """Serial-path closure over the run-wide private cost model (not
-    picklable, and must not be: only the serial executor calls it)."""
-    return lambda: measure_benchmark_factor(
-        benchmark, bi, factor, config, seed, cost_model
+def _measure_regimes(
+    suite: Suite,
+    configs: tuple[LabelingConfig, ...],
+    jobs: int | None,
+    resilience: ResilienceConfig | None,
+    journal: CheckpointJournal | None,
+    rollups: tuple[MeasurementRollup | None, ...],
+) -> tuple[MeasurementTable, ...]:
+    """Measure ``suite`` in every regime of ``configs`` (which differ only
+    in ``swp``), one work unit per (benchmark, factor) covering all of
+    them; returns one table per regime.
+
+    Every resilience event belongs to a unit, not to a regime, so the
+    events go to exactly one rollup (the first one given): a caller
+    aggregating or printing several never counts a recovery action twice.
+    """
+    jobs = resolve_jobs(jobs)
+    benchmarks = suite.benchmarks
+    assembly = _TableAssembly(suite, configs[0].machine)
+    seeds = _unit_seeds(configs[0].seed, len(benchmarks))
+    tasks = [
+        UnitTask(
+            key=(bi, factor),
+            label=f"{benchmark.name}:u{factor}",
+            fn=_measure_unit,
+            args=(benchmark, bi, factor, configs, seeds[bi][factor - 1]),
+            seed=seeds[bi][factor - 1],
+        )
+        for bi, benchmark in enumerate(benchmarks)
+        for factor in range(1, MAX_UNROLL + 1)
+    ]
+    report = _run_labelling_units(tasks, jobs, resilience, journal)
+    event_rollup = next((r for r in rollups if r is not None), None)
+    if event_rollup is not None:
+        event_rollup.events.extend(report.events)
+    return tuple(
+        assembly.merge(
+            {key: units[i] for key, units in report.results.items()},
+            rollup,
+            config.swp,
+        )
+        for i, (config, rollup) in enumerate(zip(configs, rollups))
     )
 
 
@@ -408,47 +479,7 @@ def measure_suite(
             replayed instead of re-measured, so a killed run resumes
             bit-identically to an uninterrupted one.
     """
-    jobs = resolve_jobs(jobs)
-    benchmarks = suite.benchmarks
-    assembly = _TableAssembly(suite, config.machine)
-    seeds = _unit_seeds(config.seed, len(benchmarks))
-    # Serial runs share one private cost model across all units so the
-    # analysis caches amortise across factors (pool workers get the same
-    # effect from their process-local shared models).
-    cost_model = (
-        CostModel(machine=config.machine, swp=config.swp)
-        if jobs == 1
-        else None
-    )
-    tasks = [
-        UnitTask(
-            key=(bi, factor),
-            label=f"{benchmark.name}:u{factor}",
-            fn=measure_benchmark_factor,
-            args=(benchmark, bi, factor, config, seeds[bi][factor - 1]),
-            seed=seeds[bi][factor - 1],
-            serial_call=(
-                None
-                if cost_model is None
-                else _bind_serial(benchmark, bi, factor, config,
-                                  seeds[bi][factor - 1], cost_model)
-            ),
-        )
-        for bi, benchmark in enumerate(benchmarks)
-        for factor in range(1, MAX_UNROLL + 1)
-    ]
-    report = _run_labelling_units(
-        tasks, jobs, resilience, journal, unit_to_json, unit_from_json
-    )
-    if rollup is not None:
-        rollup.events.extend(report.events)
-    return assembly.merge(report.results, rollup, config.swp)
-
-
-def _bind_serial_pair(benchmark, bi, factor, config_off, config_on, seed, models):
-    return lambda: measure_benchmark_factor_pair(
-        benchmark, bi, factor, config_off, config_on, seed, models
-    )
+    return _measure_regimes(suite, (config,), jobs, resilience, journal, (rollup,))[0]
 
 
 def measure_suite_pair(
@@ -464,63 +495,19 @@ def measure_suite_pair(
 
     Returns ``(swp_off_table, swp_on_table)``, each bit-identical to a
     standalone :func:`measure_suite` run with the corresponding
-    ``config.swp`` — but roughly twice as cheap, because each work unit
-    runs the two regimes back to back against one shared
-    :class:`~repro.simulate.executor.AnalysisCache`, and unrolling,
-    cleanup, dependence analysis, and scheduler-table construction are all
-    regime-independent.  Fault tolerance matches :func:`measure_suite`:
-    retries, quarantine, broken-pool fallback, and checkpoint/resume all
-    operate on the paired unit, and each resilience event is reported once
-    — on ``rollup_off`` when given, else on ``rollup_on``.
+    ``config.swp`` — but roughly twice as cheap: each work unit analyses
+    its benchmark's loops once (unrolling, cleanup, dependence analysis
+    and scheduler-table construction are all regime-independent), costs
+    the SWP-off regime from those analyses, then the SWP-on regime, and
+    drops them when it returns.  Fault tolerance matches
+    :func:`measure_suite`: retries, quarantine, broken-pool fallback, and
+    checkpoint/resume all operate on the paired unit, and each resilience
+    event is reported once — on ``rollup_off`` when given, else on
+    ``rollup_on``.
     """
-    jobs = resolve_jobs(jobs)
-    benchmarks = suite.benchmarks
-    config_off = dataclasses.replace(config, swp=False)
-    config_on = dataclasses.replace(config, swp=True)
-    assembly = _TableAssembly(suite, config.machine)
-    seeds = _unit_seeds(config.seed, len(benchmarks))
-    if jobs == 1:
-        shared = AnalysisCache()
-        cost_models = (
-            CostModel(machine=config.machine, swp=False, analysis=shared),
-            CostModel(machine=config.machine, swp=True, analysis=shared),
-        )
-    else:
-        cost_models = None
-    tasks = [
-        UnitTask(
-            key=(bi, factor),
-            label=f"{benchmark.name}:u{factor}",
-            fn=measure_benchmark_factor_pair,
-            args=(benchmark, bi, factor, config_off, config_on,
-                  seeds[bi][factor - 1]),
-            seed=seeds[bi][factor - 1],
-            serial_call=(
-                None
-                if cost_models is None
-                else _bind_serial_pair(benchmark, bi, factor, config_off,
-                                       config_on, seeds[bi][factor - 1],
-                                       cost_models)
-            ),
-        )
-        for bi, benchmark in enumerate(benchmarks)
-        for factor in range(1, MAX_UNROLL + 1)
-    ]
-    report = _run_labelling_units(
-        tasks, jobs, resilience, journal, _pair_to_json, _pair_from_json
-    )
-    results_off = {key: pair[0] for key, pair in report.results.items()}
-    results_on = {key: pair[1] for key, pair in report.results.items()}
-    # Each work unit runs both regimes, so every resilience event belongs
-    # to the pair, not to a regime.  Attach the events to exactly one
-    # rollup (the first one given) so that a caller aggregating or
-    # printing both never counts a recovery action twice.
-    event_rollup = rollup_off if rollup_off is not None else rollup_on
-    if event_rollup is not None:
-        event_rollup.events.extend(report.events)
-    return (
-        assembly.merge(results_off, rollup_off, False),
-        assembly.merge(results_on, rollup_on, True),
+    configs = (dataclasses.replace(config, swp=False), dataclasses.replace(config, swp=True))
+    return _measure_regimes(
+        suite, configs, jobs, resilience, journal, (rollup_off, rollup_on)
     )
 
 

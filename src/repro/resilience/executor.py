@@ -72,9 +72,8 @@ class UnitTask:
     """One schedulable work unit.
 
     ``fn``/``args`` must be picklable (the pool path ships them to
-    workers); ``serial_call``, when given, is the closure the serial path
-    uses instead — it may capture unpicklable state such as a shared cost
-    model.  ``label`` doubles as the journal key and the fault-match key.
+    workers).  ``label`` doubles as the journal key and the fault-match
+    key.
     """
 
     key: Any
@@ -82,7 +81,6 @@ class UnitTask:
     fn: Callable
     args: tuple
     seed: np.random.SeedSequence | None = None
-    serial_call: Callable[[], Any] | None = None
 
 
 @dataclass
@@ -127,8 +125,6 @@ def _call_serial(task: UnitTask, attempt: int):
         key = f"{task.label}#a{attempt}"
         injector.delay("unit.delay", key)
         injector.raise_fault("unit.error", key)
-    if task.serial_call is not None:
-        return task.serial_call()
     return task.fn(*task.args)
 
 

@@ -28,8 +28,6 @@ op                        effect at the site
 ``unit.error``            raise :class:`InjectedFault` in a work unit
 ``run.abort``             raise :class:`AbortRun` after a unit commits — a
                           simulated kill at a checkpoint boundary
-``analysis.poison``       corrupt an in-memory analysis-cache entry so the
-                          structural verification must reject it
 ``cache.corrupt``         flip one byte of a measurement-cache file before
                           it is read
 ``artifact.bitflip``      flip one byte of a model artifact before it is

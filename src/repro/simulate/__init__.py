@@ -8,18 +8,15 @@ from repro.simulate.cache import (
 from repro.simulate.executor import (
     ENTRY_OVERHEAD,
     SWP_SETUP,
-    AnalysisCache,
     CostModel,
     LoopAnalysis,
     LoopCost,
     reset_shared_cost_models,
-    shared_analysis_cache,
     shared_cost_model,
 )
 from repro.simulate.noise import DEFAULT_NOISE, NOISELESS, NoiseModel
 
 __all__ = [
-    "AnalysisCache",
     "CostModel",
     "DEFAULT_NOISE",
     "ELEMENT_BYTES",
@@ -32,6 +29,5 @@ __all__ = [
     "effective_load_latency",
     "icache_entry_penalty",
     "reset_shared_cost_models",
-    "shared_analysis_cache",
     "shared_cost_model",
 ]

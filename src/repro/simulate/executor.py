@@ -21,13 +21,15 @@ Costing splits into two stages:
   whether software pipelining is enabled.  The fast engine runs all of it
   on the loop's integer-coded body (:mod:`repro.ir.coded`): each source
   loop is lowered once, and every factor unrolls, cleans up and analyses
-  integer tables instead of instruction objects.  The stage is memoised in
-  a bounded :class:`AnalysisCache` keyed by ``(loop name, factor, plan)``
-  (the plan *must* participate: ablations change the unrolled body), so the
-  SWP-on and SWP-off regimes — and repeated queries within one regime —
-  share one analysis per configuration.  A remainder part analyses exactly
-  like the source body (only its affine offsets are shifted), so each loop
-  has one remainder analysis shared by every factor.
+  integer tables instead of instruction objects.  :meth:`CostModel.analyze`
+  returns the stage as a plain value, and whoever holds it decides how
+  long it lives: the labelling unit analyses each of a benchmark's loops
+  once, costs the SWP-off regime from that list, reuses it for the SWP-on
+  regime, and drops it when the unit returns.  No analysis is memoised by
+  name.  A remainder part analyses exactly like the source body (only its
+  affine offsets are shifted), so each loop has one remainder analysis,
+  memoised on the :class:`~repro.ir.loop.Loop` instance and shared by every
+  factor.
 * **Scheduling** — the per-regime part: list scheduling plus steady-state
   and spill terms, or modulo scheduling when SWP is on and the part is
   eligible.  The list schedule's two scalars (steady-state cycles and
@@ -42,26 +44,24 @@ The fast engine calls every layer through this module's names
 ``list_schedule``, ``steady_state_cycles``, ``max_live``,
 ``swp_register_pressure``, ``modulo_schedule``), which are the coded
 passes and the table-driven schedulers; perfbench's traced split wraps
-exactly these names.  ``engine="reference"`` bypasses the cache, the coded
-bodies and the table-driven schedulers, running the original single-stage
-path on the object IR (its passes called through their home modules) —
-the oracle the tier-1 equivalence tests pin the fast path to, and the
+exactly these names.  ``engine="reference"`` bypasses the coded bodies
+and the table-driven schedulers, running the original single-stage path
+on the object IR (its passes called through their home modules) — the
+oracle the tier-1 equivalence tests pin the fast path to, and the
 engine perfbench's offline workload re-measures six units with on every
 run.
 
 **Determinism.**  A cost is a pure function of (loop, factor, plan,
-machine, regime): cache state, query order and the engine never change a
-bit of it.  Integer ids hash differently from the registers they stand
-for, so every coded pass walks in body order and uses sets for
-membership only; the coded dependence edges equal the object analysis's
-edge for edge and in order, which keeps every scheduler tie-break where
-the reference engine puts it.
+machine, regime): memo state, query order and the engine never change a
+bit of it, and no cost depends on a loop's name.  Integer ids hash
+differently from the registers they stand for, so every coded pass walks
+in body order and uses sets for membership only; the coded dependence
+edges equal the object analysis's edge for edge and in order, which keeps
+every scheduler tie-break where the reference engine puts it.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import repro.ir.dependence as dependence
@@ -92,7 +92,6 @@ from repro.sched.modulo import (
     modulo_schedule,
     modulo_schedule_reference,
 )
-from repro.resilience.faults import get_injector
 from repro.sched.precompute import SchedPrecomp
 from repro.sched.regpressure import spill_cycles
 from repro.simulate.cache import (
@@ -163,15 +162,14 @@ class LoopAnalysis:
     """The regime-independent half of costing one (loop, factor, plan).
 
     Everything here is a pure function of the source loop, the unroll
-    factor, the cleanup plan, and the *base* machine — software pipelining
-    plays no part, so one analysis serves both scheduling regimes.  The
-    remainder's :class:`PartAnalysis` is the loop's one remainder analysis,
-    shared by every factor that leaves a remainder (see
+    factor, the cleanup plan, and the base machine — software pipelining
+    plays no part, so one analysis serves both scheduling regimes of a
+    model pair that shares the machine and plan.  The remainder's
+    :class:`PartAnalysis` is the loop's one remainder analysis, shared by
+    every factor that leaves a remainder (see
     :meth:`CostModel._remainder_analysis`).
     """
 
-    loop: Loop  # retained for structural verification on cache hits
-    base_machine: MachineModel
     machine: MachineModel  # base machine with the loop's effective load latency
     bw_floor: float
     result: CodedUnroll
@@ -179,119 +177,34 @@ class LoopAnalysis:
     rem: PartAnalysis | None
 
 
-class AnalysisCache:
-    """Bounded LRU cache of :class:`LoopAnalysis` entries.
-
-    Keys are ``(loop name, factor, plan)`` — loop names are unique within a
-    generated suite, but hand-built suites may collide, so a hit is only
-    honoured after verifying the stored loop is structurally equal to the
-    queried one and was analysed under the same base machine (``Loop`` holds
-    a dict field and cannot itself be a dict key).  A mismatch counts as a
-    miss and the entry is replaced.
-
-    One cache may be shared by several :class:`CostModel` instances — that
-    sharing is the point: the SWP-on and SWP-off models of a measurement
-    pair hit each other's analyses.  ``hits``/``misses`` counters feed the
-    measurement rollup.
-    """
-
-    def __init__(self, maxsize: int = 512):
-        if maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1, got {maxsize}")
-        self.maxsize = maxsize
-        self.hits = 0
-        self.misses = 0
-        self._entries: "OrderedDict[tuple, LoopAnalysis]" = OrderedDict()
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def get(
-        self, key: tuple, loop: Loop, base_machine: MachineModel
-    ) -> LoopAnalysis | None:
-        entry = self._entries.get(key)
-        if entry is not None:
-            injector = get_injector()
-            if injector.active and injector.fire(
-                "analysis.poison", f"{key[0]}:f{key[1]}"
-            ):
-                # Deterministic in-memory corruption: wipe the provenance so
-                # the structural verification below must reject the entry —
-                # the self-heal path (miss, recompute, overwrite) is then
-                # exercised by a real bad entry rather than a mock.
-                entry = dataclasses.replace(entry, base_machine=None)
-                self._entries[key] = entry
-        if (
-            entry is not None
-            and entry.loop == loop
-            and entry.base_machine == base_machine
-        ):
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-        self.misses += 1
-        return None
-
-    def put(self, key: tuple, entry: LoopAnalysis) -> None:
-        self._entries[key] = entry
-        self._entries.move_to_end(key)
-        while len(self._entries) > self.maxsize:
-            self._entries.popitem(last=False)
-
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved: they describe the
-        lifetime of the cache, not its current contents)."""
-        self._entries.clear()
-
-
 #: Process-local cost-model registry, keyed by (machine name, swp).
 #: See :func:`shared_cost_model`.
 _SHARED_MODELS: dict[tuple[str, bool], "CostModel"] = {}
 
-#: Process-local analysis caches shared by both regimes of one machine.
-_SHARED_ANALYSIS: dict[str, AnalysisCache] = {}
-
-
-def shared_analysis_cache(machine: MachineModel) -> AnalysisCache:
-    """The process-local :class:`AnalysisCache` for ``machine`` — one per
-    machine, shared by the SWP-on and SWP-off shared cost models so a work
-    unit measured in both regimes analyses each loop once."""
-    cache = _SHARED_ANALYSIS.get(machine.name)
-    if cache is None:
-        cache = AnalysisCache()
-        _SHARED_ANALYSIS[machine.name] = cache
-    return cache
-
 
 def shared_cost_model(machine: MachineModel, swp: bool) -> "CostModel":
-    """Process-local memoised :class:`CostModel` — the worker-safe entry
-    point for the parallel measurement pipeline.
+    """Process-local memoised :class:`CostModel` — the entry point the
+    measurement pipeline costs through, serially and in pool workers.
 
-    Each worker process reuses one ``"fast"`` model per (machine, swp)
-    regime across all the work units it executes, so the per-loop analysis
-    caches (effective load latency, bandwidth floor) amortise across the
-    eight unroll factors of a benchmark just as they do in a serial run;
-    the two SWP regimes additionally share one :class:`AnalysisCache` via
-    :func:`shared_analysis_cache`.  The caches are keyed by loop name,
-    which is unique within a generated suite; callers measuring hand-built
-    suites with colliding loop names should construct their own
-    :class:`CostModel`.
+    Each process reuses one ``"fast"`` model per (machine, swp) regime
+    across all the work units it executes, so the per-latency machine
+    variants (and their scheduler opcode-row caches) are built once per
+    process rather than once per unit.  A model keeps no per-loop state:
+    the per-loop memos live on the :class:`Loop` instances, so any suite —
+    colliding loop names included — may be costed through it.
     """
     key = (machine.name, swp)
     model = _SHARED_MODELS.get(key)
     if model is None or model.machine != machine:
-        model = CostModel(
-            machine=machine, swp=swp, analysis=shared_analysis_cache(machine)
-        )
+        model = CostModel(machine=machine, swp=swp)
         _SHARED_MODELS[key] = model
     return model
 
 
 def reset_shared_cost_models() -> None:
-    """Drop all process-local shared cost models and analysis caches (pool
-    initializer: forked workers must not inherit the parent's caches)."""
+    """Drop all process-local shared cost models (pool initializer: forked
+    workers must not inherit the parent's models)."""
     _SHARED_MODELS.clear()
-    _SHARED_ANALYSIS.clear()
 
 
 class CostModel:
@@ -302,10 +215,7 @@ class CostModel:
         swp: whether software pipelining is enabled (the paper's two
             regimes).
         plan: post-unroll cleanup switches (ablations toggle these).
-        analysis: the analysis cache to use; pass a shared instance to let
-            several models (typically the two SWP regimes) reuse each
-            other's analyses.  ``None`` creates a private cache.
-        engine: ``"fast"`` (two-stage, cached, coded bodies, table-driven
+        engine: ``"fast"`` (two-stage, coded bodies, table-driven
             schedulers) or ``"reference"`` (the original single-stage path
             on the object IR; bit-identical results, kept as the
             equivalence oracle).
@@ -316,7 +226,6 @@ class CostModel:
         machine: MachineModel = ITANIUM2,
         swp: bool = False,
         plan: OptimizationPlan | None = None,
-        analysis: AnalysisCache | None = None,
         engine: str = "fast",
     ):
         if engine not in ("fast", "reference"):
@@ -325,7 +234,6 @@ class CostModel:
         self.swp = swp
         self.plan = plan or OptimizationPlan()
         self.engine = engine
-        self.analysis = analysis if analysis is not None else AnalysisCache()
         self._machine_variants: dict[int, MachineModel] = {}
 
     # ------------------------------------------------------------------
@@ -334,8 +242,7 @@ class CostModel:
         """Cycles per program run for ``loop`` unrolled by ``factor``."""
         if self.engine == "reference":
             return self._loop_cost_reference(loop, factor)
-        analysis = self.analyze(loop, factor)
-        return self._cost_from_analysis(loop, analysis)
+        return self.cost_from_analysis(loop, self.analyze(loop, factor))
 
     def sweep(self, loop: Loop) -> dict[int, LoopCost]:
         """Costs at every unroll factor in the label space."""
@@ -344,20 +251,13 @@ class CostModel:
         return {factor: self.loop_cost(loop, factor) for factor in UNROLL_FACTORS}
 
     # ------------------------------------------------------------------
-    # Stage 1: regime-independent analysis (cached).
+    # Stage 1: regime-independent analysis.
     # ------------------------------------------------------------------
 
     def analyze(self, loop: Loop, factor: int) -> LoopAnalysis:
-        """The cached analysis stage for ``(loop, factor)`` under this
-        model's plan and base machine."""
-        key = (loop.name, factor, self.plan)
-        entry = self.analysis.get(key, loop, self.machine)
-        if entry is None:
-            entry = self._build_analysis(loop, factor)
-            self.analysis.put(key, entry)
-        return entry
-
-    def _build_analysis(self, loop: Loop, factor: int) -> LoopAnalysis:
+        """The analysis stage for ``(loop, factor)`` under this model's plan
+        and base machine.  Any model with the same machine and plan may
+        cost from the result, in either SWP regime."""
         machine = self._machine_for(loop)
         bw_floor = self._memory_profile(loop)[1]
         result = optimize_for_factor(lower(loop), factor, self.plan)
@@ -367,13 +267,7 @@ class CostModel:
         if result.remainder is not None:
             rem = self._remainder_analysis(loop, result.remainder, machine)
         return LoopAnalysis(
-            loop=loop,
-            base_machine=self.machine,
-            machine=machine,
-            bw_floor=bw_floor,
-            result=result,
-            main=main,
-            rem=rem,
+            machine=machine, bw_floor=bw_floor, result=result, main=main, rem=rem
         )
 
     @staticmethod
@@ -410,7 +304,9 @@ class CostModel:
     # Stage 2: per-regime scheduling and cost assembly.
     # ------------------------------------------------------------------
 
-    def _cost_from_analysis(self, loop: Loop, analysis: LoopAnalysis) -> LoopCost:
+    def cost_from_analysis(self, loop: Loop, analysis: LoopAnalysis) -> LoopCost:
+        """``loop``'s cost in this model's regime, scheduled from
+        ``analysis`` (what :meth:`analyze` returned for the loop)."""
         result = analysis.result
         machine = analysis.machine
         bw_floor = analysis.bw_floor
@@ -638,7 +534,7 @@ class CostModel:
                 precondition += machine.nonpow2_precondition_cycles
         exit_cost = 0.0
         if loop.has_early_exit:
-            # See _cost_from_analysis for the speculation-gone-wrong story.
+            # See cost_from_analysis for the speculation-gone-wrong story.
             exit_cost = machine.exit_mispredict_cycles
             if result.factor > 1 and main_period > 0:
                 wasted_copies = (result.factor - 1) * 0.8

@@ -21,9 +21,7 @@ exactly three fixed-size blocks are consumed from the generator, in order:
 Every block is always drawn in full — which measurements *are* outliers
 masks the inflation values, it never changes how many are drawn — so the
 stream position after a batch depends only on ``(m, n)``, never on the
-sampled data.  The scalar :meth:`NoiseModel.samples` is the ``m = 1`` row of
-this contract, bit-identical to :meth:`NoiseModel.batch_samples` on a
-one-row batch.
+sampled data.
 """
 
 from __future__ import annotations
@@ -91,23 +89,6 @@ class NoiseModel:
     ) -> np.ndarray:
         """Per-loop median of ``n`` measurements for a batch of loops."""
         return np.median(self.batch_samples(true_cycles, entry_counts, rng, n), axis=1)
-
-    def samples(
-        self,
-        true_cycles: float,
-        entry_count: int,
-        rng: np.random.Generator,
-        n: int = 30,
-    ) -> np.ndarray:
-        """Draw ``n`` simulated measurements of a loop's cumulative cycles.
-
-        The ``m = 1`` case of :meth:`batch_samples`: the same three blocks
-        are consumed (``n`` jitters, ``n`` outlier uniforms, ``n`` inflation
-        uniforms), so the generator advances by a data-independent amount.
-        """
-        return self.batch_samples(
-            np.array([float(true_cycles)]), np.array([entry_count]), rng, n
-        )[0]
 
 
 #: Noise-free measurements — used by tests that need exact arithmetic.

@@ -1,70 +1,94 @@
-"""Unit tests for the instrumentation library and raw-data export."""
+"""Unit tests for the measurement protocol and the raw-data export."""
 
 import numpy as np
 import pytest
 
 from repro.instrument import (
     LoopRecord,
-    LoopTimerBank,
-    measure_benchmark,
-    measure_loop,
+    MeasurementRollup,
+    UnitTiming,
     read_records,
     write_records,
 )
-from repro.simulate import CostModel, NOISELESS, NoiseModel
+from repro.ir.program import Benchmark
+from repro.ir.types import Language
+from repro.pipeline import LabelingConfig, measure_benchmark_factor
+from repro.simulate import DEFAULT_NOISE, CostModel, NOISELESS, NoiseModel
 from repro.workloads.kernels import daxpy
 
 
-class TestTimerBank:
-    def test_accumulates_per_loop(self):
-        bank = LoopTimerBank()
-        bank.record("a", 100.0)
-        bank.record("a", 50.0)
-        bank.record("b", 7.0)
-        assert bank.report() == {"a": 150.0, "b": 7.0}
-
-    def test_report_is_a_copy(self):
-        bank = LoopTimerBank()
-        bank.record("a", 1.0)
-        report = bank.report()
-        report["a"] = 999.0
-        assert bank.report()["a"] == 1.0
+def _measure_one(loop, factor, seed, noise=DEFAULT_NOISE, n_runs=30):
+    """One loop timed through the labelling unit, the paper's median-of-N
+    protocol with counter overhead."""
+    benchmark = Benchmark(
+        name="one", suite="spec2000-fp", language=Language.C, loops=(loop,)
+    )
+    config = LabelingConfig(noise=noise, n_runs=n_runs)
+    return measure_benchmark_factor(
+        benchmark, 0, factor, config, np.random.SeedSequence(seed)
+    )
 
 
 class TestMeasurement:
     def test_noiseless_measurement_equals_cost_model(self):
         loop = daxpy(trip=256, entries=8)
-        model = CostModel()
-        rng = np.random.default_rng(0)
-        measurement = measure_loop(loop, 2, model, rng, noise=NOISELESS, n_runs=5)
-        assert measurement.median_cycles == model.loop_cost(loop, 2).total_cycles
-        assert measurement.n_runs == 5
+        unit = _measure_one(loop, 2, 0, noise=NOISELESS, n_runs=5)
+        truth = CostModel().loop_cost(loop, 2).total_cycles
+        assert unit.measured[0] == unit.true_cycles[0] == truth
 
     def test_median_of_thirty_default(self):
+        assert LabelingConfig().n_runs == 30
         loop = daxpy(trip=256, entries=8)
-        rng = np.random.default_rng(1)
-        measurement = measure_loop(loop, 1, CostModel(), rng)
-        assert measurement.n_runs == 30
+        unit = _measure_one(loop, 1, 1)
+        rng = np.random.default_rng(np.random.SeedSequence(1))
+        samples = DEFAULT_NOISE.batch_samples(
+            unit.true_cycles, np.array([loop.entry_count]), rng, n=30
+        )
+        assert samples.shape == (1, 30)
+        assert unit.measured[0] == np.median(samples[0])
 
     def test_benchmark_measurement_covers_all_loops(self, mini_suite, mini_config):
         bench = mini_suite.benchmarks[0]
-        rng = np.random.default_rng(2)
-        results = measure_benchmark(
-            bench, 4, CostModel(), rng, noise=mini_config.noise, n_runs=3
+        unit = measure_benchmark_factor(
+            bench, 0, 4, mini_config, np.random.SeedSequence(2)
         )
-        assert set(results) == {loop.name for loop in bench.loops}
+        model = CostModel()
+        assert unit.measured.shape == unit.true_cycles.shape == (bench.n_loops,)
+        assert np.isfinite(unit.measured).all()
+        assert list(unit.true_cycles) == [
+            model.loop_cost(loop, 4).total_cycles for loop in bench.loops
+        ]
 
     def test_noise_does_not_bias_the_median_much(self):
         loop = daxpy(trip=512, entries=16)
-        model = CostModel()
-        truth = model.loop_cost(loop, 1).total_cycles
+        truth = CostModel().loop_cost(loop, 1).total_cycles
         noise = NoiseModel(sigma=0.02, outlier_rate=0.02, counter_overhead=0)
-        rng = np.random.default_rng(3)
-        medians = [
-            measure_loop(loop, 1, model, rng, noise=noise).median_cycles
-            for _ in range(10)
-        ]
+        medians = [_measure_one(loop, 1, seed, noise=noise).measured[0] for seed in range(10)]
         assert abs(np.mean(medians) / truth - 1.0) < 0.02
+
+
+class TestRollupSummary:
+    @staticmethod
+    def _rollup(*traffic):
+        rollup = MeasurementRollup()
+        for hits, misses in traffic:
+            rollup.record(
+                UnitTiming(
+                    benchmark="b", factor=1, worker=1, n_loops=3, seconds=0.1,
+                    analysis_hits=hits, analysis_misses=misses,
+                )
+            )
+        return rollup
+
+    def test_single_regime_run_reports_no_reuse(self):
+        summary = self._rollup((0, 3), (0, 3)).summary()
+        assert "reused" not in summary
+        assert "cache" not in summary
+
+    def test_second_regime_reports_its_reuse(self):
+        rollup = self._rollup((3, 0), (3, 0))
+        assert (rollup.analysis_hits(), rollup.analysis_misses()) == (6, 0)
+        assert "; 6 loop analyses reused across regimes" in rollup.summary()
 
 
 class TestRawDataRelease:

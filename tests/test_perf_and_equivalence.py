@@ -2,8 +2,8 @@
 
 The performance work keeps every seed code path alive behind
 ``engine="reference"`` switches; these tests pin the optimized engines to
-those references — the cached two-stage cost model, the paired measurement
-run, the batched noise stream, the vectorized mutual information, and the
+those references — the two-stage cost model, the paired measurement run,
+the batched noise stream, the vectorized mutual information, and the
 incremental greedy-selection workspaces must all reproduce the seed's
 numbers, not merely approximate them.  Tables are compared byte for byte
 with :func:`tests.strategies.assert_tables_bit_identical`, whose own
@@ -11,6 +11,8 @@ strictness is pinned here too.
 """
 
 import dataclasses
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -37,12 +39,14 @@ from repro.machine import ITANIUM2, NARROW
 from repro.pipeline import (
     LabelingConfig,
     measure_benchmark_factor,
+    measure_benchmark_factor_pair,
     measure_suite,
     measure_suite_pair,
 )
 from repro.pipeline import labeling
 from repro.sched.precompute import SchedPrecomp
-from repro.simulate.executor import AnalysisCache, CostModel
+import repro.simulate.executor as executor
+from repro.simulate.executor import CostModel
 from repro.simulate.noise import DEFAULT_NOISE, NoiseModel
 from repro.transforms.pipeline import OptimizationPlan, optimize_for_factor
 from repro.workloads.generator import generate_benchmark
@@ -73,22 +77,22 @@ class TestCostModelEquivalence:
 
     @given(loop=random_loops(), factor=st.integers(1, 8))
     @settings(max_examples=25, deadline=None)
-    def test_shared_cache_serves_both_regimes(self, loop, factor):
-        shared = AnalysisCache()
-        off = CostModel(swp=False, analysis=shared)
-        on = CostModel(swp=True, analysis=shared)
-        first_off = off.loop_cost(loop, factor)
-        first_on = on.loop_cost(loop, factor)  # reuses the off analysis
-        assert shared.hits >= 1
+    def test_one_analysis_serves_both_regimes(self, loop, factor):
+        off = CostModel(swp=False)
+        on = CostModel(swp=True)
+        analysis = off.analyze(loop, factor)
+        first_off = off.cost_from_analysis(loop, analysis)
+        first_on = on.cost_from_analysis(loop, analysis)
         assert first_off == CostModel(swp=False, engine="reference").loop_cost(
             loop, factor
         )
         assert first_on == CostModel(swp=True, engine="reference").loop_cost(
             loop, factor
         )
-        # Cache-hit answers are stable under repeated queries.
-        assert off.loop_cost(loop, factor) == first_off
-        assert on.loop_cost(loop, factor) == first_on
+        # Costing again from the same analysis (its list-schedule cells now
+        # filled) answers the same.
+        assert off.cost_from_analysis(loop, analysis) == first_off
+        assert on.cost_from_analysis(loop, analysis) == first_on
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError):
@@ -153,32 +157,14 @@ def _named_loop(name, op=Opcode.FADD, trip=32, stride=1):
     return builder.build()
 
 
-class TestAnalysisCache:
-    def test_lru_bound_evicts_oldest(self):
-        cache = AnalysisCache(maxsize=2)
-        model = CostModel(analysis=cache)
-        loop = _named_loop("lru")
-        for factor in (1, 2, 3):
-            model.loop_cost(loop, factor)
-        assert len(cache) == 2
-        # Factor 1 was evicted; factors 2 and 3 still hit.
-        model.loop_cost(loop, 2)
-        model.loop_cost(loop, 3)
-        assert cache.hits == 2
-        hits_before = cache.hits
-        model.loop_cost(loop, 1)
-        assert cache.hits == hits_before  # miss: re-analysed
-
-    def test_name_collision_is_verified_structurally(self):
-        cache = AnalysisCache()
-        model = CostModel(analysis=cache)
+class TestSameNamedLoops:
+    def test_same_named_loops_cost_as_themselves(self):
+        model = CostModel()
         first = _named_loop("dup", op=Opcode.FADD)
-        impostor = _named_loop("dup", op=Opcode.FMUL)
+        other = _named_loop("dup", op=Opcode.FMUL)
         model.loop_cost(first, 4)
-        misses_before = cache.misses
-        cost = model.loop_cost(impostor, 4)  # same key, different loop
-        assert cache.misses == misses_before + 1
-        assert cost == CostModel(engine="reference").loop_cost(impostor, 4)
+        cost = model.loop_cost(other, 4)
+        assert cost == CostModel(engine="reference").loop_cost(other, 4)
         # Same name, different memory behaviour: the effective load latency
         # and bandwidth floor must follow the loop, not its name.
         model.loop_cost(_named_loop("long", trip=4000), 4)
@@ -188,32 +174,8 @@ class TestAnalysisCache:
         assert cost == CostModel(engine="reference").loop_cost(strided, 4)
         assert cost.total_cycles == 48_015
 
-    def test_invalid_maxsize_rejected(self):
-        with pytest.raises(ValueError):
-            AnalysisCache(maxsize=0)
-
-    def test_clear_preserves_counters(self):
-        cache = AnalysisCache()
-        model = CostModel(analysis=cache)
-        loop = _named_loop("clear")
-        model.loop_cost(loop, 2)
-        model.loop_cost(loop, 2)
-        hits, misses = cache.hits, cache.misses
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses) == (hits, misses)
-
 
 class TestNoiseStreamContract:
-    def test_scalar_is_single_row_batch(self):
-        rng_scalar = np.random.default_rng(42)
-        rng_batch = np.random.default_rng(42)
-        single = DEFAULT_NOISE.samples(1e6, 100, rng_scalar, n=30)
-        batch = DEFAULT_NOISE.batch_samples(
-            np.array([1e6]), np.array([100]), rng_batch, n=30
-        )
-        np.testing.assert_array_equal(single, batch[0])
-
     def test_stream_position_depends_only_on_shape(self):
         rng_a = np.random.default_rng(9)
         rng_b = np.random.default_rng(9)
@@ -295,6 +257,89 @@ class TestMeasureSuitePair:
         before = off.X[0, 0]
         on.X[0, 0] += 1.0
         assert off.X[0, 0] == before
+
+
+class TestAnalysisSharing:
+    """A paired unit analyses each loop once, shares the analyses between
+    its two regimes, and lets them go when it returns."""
+
+    def test_each_loop_factor_is_unrolled_once(self, small_pair, monkeypatch):
+        suite, config, off, on = small_pair
+        calls = Counter()
+        real = executor.optimize_for_factor
+
+        def counting(code, factor, plan=None):
+            calls[code.name, factor] += 1
+            return real(code, factor, plan)
+
+        monkeypatch.setattr(executor, "optimize_for_factor", counting)
+        pair = measure_suite_pair(suite, config, jobs=1)
+        expected = {
+            (loop.name, factor)
+            for benchmark in suite.benchmarks
+            for loop in benchmark.loops
+            for factor in range(1, MAX_UNROLL + 1)
+        }
+        assert set(calls) == expected
+        assert set(calls.values()) == {1}
+        assert_tables_bit_identical(pair[0], off)
+        assert_tables_bit_identical(pair[1], on)
+
+    def test_no_analysis_outlives_its_unit(self, small_pair, monkeypatch):
+        suite, config, _, _ = small_pair
+        refs = []
+        real = CostModel.analyze
+
+        def tracking(self, loop, factor):
+            analysis = real(self, loop, factor)
+            refs.append(weakref.ref(analysis))
+            return analysis
+
+        monkeypatch.setattr(CostModel, "analyze", tracking)
+        measure_suite_pair(suite, config, jobs=1)
+        assert len(refs) == suite.n_loops * MAX_UNROLL
+        assert all(ref() is None for ref in refs)
+
+    def test_pair_unit_equals_two_reference_units(self, small_pair):
+        suite, config, _, _ = small_pair
+        config_off = dataclasses.replace(config, swp=False)
+        config_on = dataclasses.replace(config, swp=True)
+        seeds = np.random.SeedSequence(config.seed).spawn(len(suite.benchmarks))
+        for bi, benchmark in enumerate(suite.benchmarks):
+            for factor in (1, 3, 8):
+                seed = seeds[bi].spawn(MAX_UNROLL)[factor - 1]
+                pair = measure_benchmark_factor_pair(
+                    benchmark, bi, factor, config_off, config_on, seed
+                )
+                assert (pair[0].analysis_misses, pair[0].analysis_hits) == (
+                    benchmark.n_loops,
+                    0,
+                )
+                assert (pair[1].analysis_misses, pair[1].analysis_hits) == (
+                    0,
+                    benchmark.n_loops,
+                )
+                for unit, regime in zip(pair, (config_off, config_on)):
+                    reference = measure_benchmark_factor(
+                        benchmark, bi, factor, regime, seed,
+                        CostModel(swp=regime.swp, engine="reference"),
+                    )
+                    np.testing.assert_array_equal(unit.measured, reference.measured)
+                    np.testing.assert_array_equal(unit.true_cycles, reference.true_cycles)
+
+    def test_regimes_of_a_unit_must_share_the_plan(self, small_pair):
+        suite, config, _, _ = small_pair
+        models = (
+            CostModel(swp=False),
+            CostModel(swp=True, plan=OptimizationPlan(scalar_replacement=False)),
+        )
+        with pytest.raises(ValueError, match="machine and plan"):
+            measure_benchmark_factor_pair(
+                suite.benchmarks[0], 0, 2,
+                dataclasses.replace(config, swp=False),
+                dataclasses.replace(config, swp=True),
+                np.random.SeedSequence(0), models,
+            )
 
 
 def _assert_units_match(suite, config, table, cost_model) -> None:

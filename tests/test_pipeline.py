@@ -32,7 +32,7 @@ from repro.resilience import (
     fault_plan,
 )
 from repro.simulate import NOISELESS, NoiseModel
-from repro.simulate.executor import AnalysisCache, CostModel
+from repro.simulate.executor import CostModel
 
 #: Retries that never sleep for real.
 _FAST_RETRIES = ResilienceConfig(
@@ -216,11 +216,7 @@ class TestCollectorPause:
                     )
 
         def pair_units():
-            shared = AnalysisCache()
-            models = (
-                CostModel(swp=False, analysis=shared),
-                CostModel(swp=True, analysis=shared),
-            )
+            models = (CostModel(swp=False), CostModel(swp=True))
             for bi, bench in benchmarks:
                 for factor in range(1, MAX_UNROLL + 1):
                     measure_benchmark_factor_pair(

@@ -163,5 +163,5 @@ class TestNoiseStatistics:
 
         noise = NoiseModel(sigma=sigma, outlier_rate=0.1)
         rng = np.random.default_rng(1)
-        samples = noise.samples(1000.0, 3, rng, n=50)
+        samples = noise.batch_samples(np.array([1000.0]), np.array([3]), rng, n=50)
         assert (samples > 0).all()

@@ -2,8 +2,8 @@
 
 Every recovery path is exercised by a real induced failure, not a mock:
 retries with deterministic backoff, per-unit timeouts, quarantine instead
-of abort, serial fallback after a worker death, checkpoint/resume, cache
-corruption self-healing, and in-memory analysis-cache poisoning.  The
+of abort, serial fallback after a worker death, checkpoint/resume, and
+cache corruption self-healing.  The
 recurring invariant: however badly a run is abused, the table that comes
 out is bit-identical to an untroubled run (or has NaN holes exactly where
 units were quarantined).
@@ -44,7 +44,6 @@ from repro.resilience import (
     install_fault_plan,
     run_units,
 )
-from repro.simulate import CostModel
 from repro.simulate.noise import NoiseModel
 from repro.workloads.generator import generate_benchmark
 from repro.workloads.spec_names import ROSTER
@@ -633,22 +632,3 @@ class TestQuarantineCap:
         stats = store.stats()
         assert stats.quarantine_cap == 4
         assert "(cap 4)" in stats.summary()
-
-
-class TestAnalysisPoison:
-    def test_poisoned_entry_is_rejected_and_recomputed(self, daxpy_loop):
-        model = CostModel()
-        clean = model.loop_cost(daxpy_loop, 4).total_cycles
-        hits_before = model.analysis.hits
-        misses_before = model.analysis.misses
-        plan = FaultPlan(
-            rules=(FaultRule(op="analysis.poison", match=f"{daxpy_loop.name}:f4"),)
-        )
-        with fault_plan(plan):
-            poisoned = model.loop_cost(daxpy_loop, 4).total_cycles
-        # The poisoned entry failed verification: a miss, not a hit — but
-        # the recomputed cost is identical and the cache healed itself.
-        assert poisoned == clean
-        assert model.analysis.misses > misses_before
-        assert model.loop_cost(daxpy_loop, 4).total_cycles == clean
-        assert model.analysis.hits > hits_before

@@ -99,15 +99,17 @@ class TestNoiseModel:
 
     def test_samples_reproducible_under_seed(self):
         noise = NoiseModel()
-        a = noise.samples(5000.0, 4, np.random.default_rng(7), n=10)
-        b = noise.samples(5000.0, 4, np.random.default_rng(7), n=10)
+        cycles, entries = np.array([5000.0]), np.array([4])
+        a = noise.batch_samples(cycles, entries, np.random.default_rng(7), n=10)
+        b = noise.batch_samples(cycles, entries, np.random.default_rng(7), n=10)
         np.testing.assert_array_equal(a, b)
 
     def test_sigma_widens_spread(self):
+        cycles, entries = np.array([1e6]), np.array([1])
         rng = np.random.default_rng(3)
-        tight = NoiseModel(sigma=0.001, outlier_rate=0.0).samples(1e6, 1, rng, n=200)
+        tight = NoiseModel(sigma=0.001, outlier_rate=0.0).batch_samples(cycles, entries, rng, n=200)
         rng = np.random.default_rng(3)
-        wide = NoiseModel(sigma=0.1, outlier_rate=0.0).samples(1e6, 1, rng, n=200)
+        wide = NoiseModel(sigma=0.1, outlier_rate=0.0).batch_samples(cycles, entries, rng, n=200)
         assert wide.std() > tight.std() * 10
 
 
