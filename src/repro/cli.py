@@ -496,7 +496,8 @@ def cmd_serve(args) -> int:
 
 def _serve_cluster(args, host, port, workers, config) -> int:
     """The ``--listen --workers N`` path: supervise N shared-nothing
-    daemon processes on one port (reuseport sharding, balancer fallback)."""
+    daemon processes on one port; the kernel shards connections across
+    them with ``SO_REUSEPORT``, and a platform without it exits 2."""
     from repro.registry import ArtifactError, ArtifactStore
     from repro.serve import (
         ClusterConfig,
@@ -926,7 +927,7 @@ def main(argv=None) -> int:
         default=None,
         help="stdin mode: prediction threads for the batch (default: 4); "
         "--listen mode: independent daemon processes sharing the port via "
-        "SO_REUSEPORT, or a round-robin balancer where unavailable "
+        "SO_REUSEPORT; more than 1 needs a platform with SO_REUSEPORT "
         "(default: 1)",
     )
     serve_parser.add_argument(

@@ -17,9 +17,8 @@ an asyncio TCP front-end that coalesces concurrent clients' requests
 into vectorized engine batches, hot-reloads newer registry artifacts with
 zero downtime, and answers ``healthz`` probes.  :class:`ServeCluster`
 multiplies that daemon across N shared-nothing worker *processes* on one
-port — ``SO_REUSEPORT`` kernel sharding where available, a round-robin
-asyncio balancer elsewhere — with crash restarts, drain fan-out, and
-aggregated cluster health.  :class:`RequestLog` records every served
+port — the kernel shards connections with ``SO_REUSEPORT`` — with crash
+restarts, drain fan-out, and aggregated cluster health.  :class:`RequestLog` records every served
 prediction as append-mode JSON lines, off the hot path.
 """
 
@@ -50,11 +49,9 @@ from repro.serve.gateway import (
 )
 from repro.serve.loader import LoadedArtifact, load_serving_artifact
 from repro.serve.multiproc import (
-    NO_REUSEPORT_ENV,
     ClusterConfig,
     ServeCluster,
     WorkerStartupError,
-    reuseport_available,
 )
 from repro.serve.requestlog import (
     RequestLog,
@@ -72,7 +69,6 @@ __all__ = [
     "ERROR_MALFORMED_REQUEST",
     "ERROR_OVERLOADED",
     "ERROR_UNPARSEABLE_LOOP",
-    "NO_REUSEPORT_ENV",
     "BackgroundDaemon",
     "BatchStats",
     "ClusterConfig",
@@ -95,5 +91,4 @@ __all__ = [
     "probe_healthz",
     "read_request_log",
     "request_log_segments",
-    "reuseport_available",
 ]

@@ -86,23 +86,22 @@ class DaemonConfig:
     holds the first request of a batch open for company.  Larger windows
     trade tail latency for bigger (faster-per-request) vectorized batches;
     ``0`` disables coalescing entirely (every request is its own batch).
-    With ``adaptive_window`` (the default) that value is the *ceiling*:
-    a latency-aware controller shrinks the live window toward zero while
-    batches close under-full (a trickle pays per-request latency, not the
-    window) and grows it back under sustained queue depth (a flood earns
-    its coalescing).  ``port=0`` binds an ephemeral port (the bound
-    address is on :attr:`ServeDaemon.address` after start).
+    Otherwise that value is the *ceiling*: a latency-aware controller
+    shrinks the live window toward zero while batches close under-full (a
+    trickle pays per-request latency, not the window) and grows it back
+    under sustained queue depth (a flood earns its coalescing).
+    ``port=0`` binds an ephemeral port (the bound address is on
+    :attr:`ServeDaemon.address` after start).
 
-    The multi-process tier's knobs: ``reuse_port`` binds the listen
-    socket with ``SO_REUSEPORT`` so sibling worker processes can share
-    one port (the kernel shards connections); ``bind_control`` opens a
-    second, ephemeral listener speaking the same protocol — the
-    supervisor's direct line to one worker for health probes and peer
-    updates (accepted there only) regardless of where the kernel routes
-    public connections;
-    ``worker_id`` tags healthz and request-log records; ``request_log``
-    appends one JSON line per served response (see
-    :mod:`repro.serve.requestlog`).
+    ``worker_id`` marks a cluster worker (see :mod:`repro.serve.multiproc`)
+    and tags its healthz and request-log records.  A worker binds its
+    listen socket with ``SO_REUSEPORT`` so sibling processes share one
+    port (the kernel shards connections), and opens a second, ephemeral
+    *control* listener speaking the same protocol — the supervisor's
+    direct line to one worker for health probes and peer updates
+    (accepted there only) regardless of where the kernel routes public
+    connections.  ``request_log`` appends one JSON line per served
+    response (see :mod:`repro.serve.requestlog`).
     """
 
     host: str = "127.0.0.1"
@@ -114,9 +113,6 @@ class DaemonConfig:
     deadline_s: float | None = None
     reload_poll_s: float | None = None
     classifier: str = "svm"
-    adaptive_window: bool = True
-    reuse_port: bool = False
-    bind_control: bool = False
     worker_id: int | None = None
     request_log: str | None = None
     request_log_max_bytes: int | None = None
@@ -223,6 +219,7 @@ def merge_worker_health(workers: list[dict]) -> dict:
     batching = {"batches": 0, "batched_requests": 0, "max_batch": 0}
     request_log_records = 0
     request_log_bytes = 0
+    request_log_dropped = 0
     alive = 0
     balanced = True
     per_worker = []
@@ -248,6 +245,7 @@ def merge_worker_health(workers: list[dict]) -> dict:
         log_stats = health.get("request_log") or {}
         request_log_records += log_stats.get("records", 0)
         request_log_bytes += log_stats.get("bytes_written", 0)
+        request_log_dropped += log_stats.get("dropped", 0)
         per_worker.append(
             {
                 "worker": health.get("worker"),
@@ -266,6 +264,7 @@ def merge_worker_health(workers: list[dict]) -> dict:
         "batching": batching,
         "request_log_records": request_log_records,
         "request_log_bytes": request_log_bytes,
+        "request_log_dropped": request_log_dropped,
         "balanced": balanced,
         "workers": per_worker,
     }
@@ -327,13 +326,7 @@ class ServeDaemon:
         self._closing = False
         self.address: tuple[str, int] | None = None
         self.control_address: tuple[str, int] | None = None
-        self.window = WindowController(
-            self.config.batch_window_ms if self.config.adaptive_window else 0.0,
-            self.config.max_batch,
-        )
-        if not self.config.adaptive_window:
-            # Controller disabled: run the configured window verbatim.
-            self.window.window_ms = self.config.batch_window_ms
+        self.window = WindowController(self.config.batch_window_ms, self.config.max_batch)
         self.gateway.batch_stats.window_ms = self.window.window_ms
         self.request_log = (
             RequestLog(
@@ -363,12 +356,13 @@ class ServeDaemon:
     async def start(self) -> None:
         """Bind the socket(s) and start the batch loop (and watcher, if any).
 
-        With ``reuse_port`` the public listener joins an ``SO_REUSEPORT``
+        A cluster worker's public listener joins an ``SO_REUSEPORT``
         group — sibling worker processes bind the same ``host:port`` and
-        the kernel shards incoming connections across them.  With
-        ``bind_control`` a second, always-ephemeral listener serves the
-        same protocol for direct per-worker probes.
+        the kernel shards incoming connections across them — and a second,
+        always-ephemeral control listener serves the same protocol for
+        direct per-worker probes.
         """
+        worker = self.config.worker_id is not None
         self._queue = asyncio.Queue()
         self._batch_task = asyncio.ensure_future(self._batch_loop())
         if self.config.reload_poll_s is not None:
@@ -377,12 +371,12 @@ class ServeDaemon:
             self._handle_connection,
             self.config.host,
             self.config.port,
-            reuse_port=self.config.reuse_port or None,
+            reuse_port=worker or None,
             limit=LINE_LIMIT,
         )
         sockname = self._server.sockets[0].getsockname()
         self.address = (sockname[0], sockname[1])
-        if self.config.bind_control:
+        if worker:
             self._control_server = await asyncio.start_server(
                 functools.partial(self._handle_connection, control=True),
                 self.config.host,

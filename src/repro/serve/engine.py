@@ -23,9 +23,10 @@ Each request is timed; an engine given a
 (``seconds`` = latency), which gives the CLI's batch path p50/p95/p99
 latency and requests-per-second for free.  An engine without one keeps no
 per-request record, so a long-running daemon does not grow with traffic.
-Batches fan out over a thread pool — prediction is pure NumPy on immutable
-state, so requests are trivially parallel — and responses always come back
-in request order.
+:meth:`PredictionEngine.handle` answers one request and
+:meth:`PredictionEngine.handle_batch` a batch, in request order; the
+:class:`~repro.serve.gateway.ServeGateway` is the batch front door that
+adds admission control, deadlines and a pool over engine replicas.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from __future__ import annotations
 import json
 import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -106,7 +106,7 @@ def parse_request_lines(lines) -> list:
 
 
 class PredictionEngine:
-    """Load an artifact once, answer batched requests concurrently."""
+    """Load an artifact once, answer requests singly or as a batch."""
 
     def __init__(
         self,
@@ -243,24 +243,6 @@ class PredictionEngine:
         except _MalformedRequest:
             return None
         return classifier, vector
-
-    def serve_batch(self, requests, max_workers: int | None = None) -> list[dict]:
-        """Answer a batch; responses come back in request order.
-
-        ``max_workers`` > 1 fans requests over a thread pool (prediction
-        is pure NumPy on immutable state); the default serves serially.
-        """
-        requests = list(requests)
-        if max_workers is not None and max_workers > 1 and len(requests) > 1:
-            with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                return list(pool.map(self.handle, requests))
-        return [self.handle(request) for request in requests]
-
-    def serve_lines(self, lines, max_workers: int | None = None) -> list[dict]:
-        """The JSON-lines batch protocol: one request per non-blank line;
-        a line that is not valid JSON yields an ``invalid-json`` response
-        in its slot rather than aborting the batch."""
-        return self.serve_batch(parse_request_lines(lines), max_workers=max_workers)
 
     # ------------------------------------------------------------------
 

@@ -6,10 +6,13 @@ what the model answered and how sure it was.  :class:`RequestLog` appends
 one JSON object per response to a log file without ever making a client
 wait for the disk:
 
-* **Off the hot path.**  ``record()`` only enqueues (an unbounded
-  in-process queue, O(1), no I/O, no locks shared with the serve path);
-  a dedicated writer thread drains the queue and performs the actual
-  writes.
+* **Off the hot path.**  ``record()`` only enqueues (an in-process
+  queue, O(1), no I/O, no lock held across I/O); a dedicated writer
+  thread drains the queue and performs the actual writes.
+* **Bounded.**  At most :data:`QUEUE_BOUND` records wait for the writer.
+  Past that — a stalled disk, a writer that cannot keep up — ``record()``
+  drops the record and counts it (``dropped`` in :meth:`RequestLog.stats`),
+  so a slow disk costs log lines, never unbounded memory.
 * **Atomic line flushes.**  The file is opened ``O_APPEND`` and the
   writer emits only complete, newline-terminated lines per ``os.write``
   call.  POSIX append-mode writes are atomic for these sizes, so many
@@ -49,6 +52,13 @@ from typing import Iterator
 
 _CLOSE = object()
 
+#: Most records that may wait for the writer thread.  Under perfbench's
+#: serve-source load (~550 requests/s on 2 CPUs) the writer lagged by at
+#: most 4 records; a stalled disk fills the bound and every record past it
+#: is dropped and counted.  A queued record holds ~1.2-2.5 KB (the entry
+#: plus its features or source payload), so a full queue is ~10-21 MB.
+QUEUE_BOUND = 8192
+
 
 def features_checksum(request) -> str | None:
     """The closed-loop dedup key: SHA-256 over the request's payload.
@@ -76,11 +86,12 @@ class RequestLog:
     """Append-mode JSON-lines log with a buffered background writer.
 
     ``record(entry)`` never blocks and never raises into the serve path;
-    ``close()`` drains everything recorded so far, so a drain-shaped
-    daemon shutdown loses no lines.  ``records`` counts what has been
-    durably written (not merely enqueued) — ``healthz`` reports it,
-    alongside ``bytes_written`` and the live file's current size so
-    operators can alarm on a stalled log.
+    ``close()`` drains everything queued so far, so a drain-shaped
+    daemon shutdown loses no queued line.  ``records`` counts what has
+    been durably written (not merely enqueued) and ``dropped`` what found
+    the queue full — ``healthz`` reports both, alongside ``bytes_written``
+    and the live file's current size so operators can alarm on a stalled
+    log.
     """
 
     def __init__(
@@ -98,6 +109,8 @@ class RequestLog:
         self.write_errors = 0
         self.bytes_written = 0
         self.rotations = 0
+        self.dropped = 0
+        self._record_lock = threading.Lock()
         self._queue: "queue.SimpleQueue" = queue.SimpleQueue()
         self._fd = self._open()
         self._closed = False
@@ -110,11 +123,18 @@ class RequestLog:
 
     def record(self, entry: dict) -> None:
         """Enqueue one record; the hot path pays for a queue put, nothing
-        else.  Records arriving after ``close()`` are dropped silently —
-        the log is already sealed."""
+        else.  A record that finds :data:`QUEUE_BOUND` records waiting is
+        dropped and counted.  Records arriving after ``close()`` are
+        dropped silently — the log is already sealed."""
         if self._closed:
             return
-        self._queue.put(entry)
+        # Check-then-put and the drop count stay exact under concurrent
+        # callers; the lock is held for O(1) work, never across I/O.
+        with self._record_lock:
+            if self._queue.qsize() >= QUEUE_BOUND:
+                self.dropped += 1
+                return
+            self._queue.put(entry)
 
     def close(self) -> None:
         """Seal the log: flush every record enqueued so far, then close
@@ -250,6 +270,7 @@ class RequestLog:
             "bytes_written": self.bytes_written,
             "file_bytes": file_bytes,
             "rotations": self.rotations,
+            "dropped": self.dropped,
         }
 
 

@@ -309,31 +309,33 @@ class CostModel:
         ``analysis`` (what :meth:`analyze` returned for the loop)."""
         result = analysis.result
         machine = analysis.machine
-        bw_floor = analysis.bw_floor
+        main = rem = None
+        if result.main is not None:
+            main = self._part_cycles(
+                result.main, analysis.main, machine, analysis.bw_floor, allow_swp=True
+            )
+        if result.remainder is not None:
+            rem = self._part_cycles(
+                result.remainder, analysis.rem, machine, analysis.bw_floor, allow_swp=False
+            )
+        return self._assemble(loop, result, machine, main, rem)
 
+    def _assemble(self, loop: Loop, result, machine: MachineModel, main, rem) -> LoopCost:
+        """The one cost assembly both engines share: ``main``/``rem`` are
+        the parts' ``_part_cycles`` tuples (``None`` for an absent part),
+        ``result`` either engine's unroll result; I-cache, preconditioning
+        and early-exit terms are layered on top."""
         main_cycles = 0.0
         main_period = 0.0
         ii = stages = None
         spill = 0.0
         swp_used = False
-
-        if result.main is not None:
-            (
-                main_cycles,
-                main_period,
-                ii,
-                stages,
-                spill,
-                swp_used,
-            ) = self._part_cycles(
-                result.main, analysis.main, machine, bw_floor, allow_swp=True
-            )
+        if main is not None:
+            main_cycles, main_period, ii, stages, spill, swp_used = main
 
         rem_cycles = 0.0
-        if result.remainder is not None:
-            rem_cycles, _, _, _, rem_spill, _ = self._part_cycles(
-                result.remainder, analysis.rem, machine, bw_floor, allow_swp=False
-            )
+        if rem is not None:
+            rem_cycles, _, _, _, rem_spill, _ = rem
             spill += rem_spill
 
         icache = icache_entry_penalty(result.emitted_size, machine)
@@ -502,68 +504,14 @@ class CostModel:
         machine = self._machine_for(loop)
         bw_floor = self._memory_profile(loop)[1]
         result = transforms.optimize_for_factor(loop, factor, self.plan)
-
-        main_cycles = 0.0
-        main_period = 0.0
-        ii = stages = None
-        spill = 0.0
-        swp_used = False
-
+        main = rem = None
         if result.main is not None:
-            (
-                main_cycles,
-                main_period,
-                ii,
-                stages,
-                spill,
-                swp_used,
-            ) = self._part_cycles_reference(result.main, machine, bw_floor, allow_swp=True)
-
-        rem_cycles = 0.0
+            main = self._part_cycles_reference(result.main, machine, bw_floor, allow_swp=True)
         if result.remainder is not None:
-            rem_cycles, _, _, _, rem_spill, _ = self._part_cycles_reference(
+            rem = self._part_cycles_reference(
                 result.remainder, machine, bw_floor, allow_swp=False
             )
-            spill += rem_spill
-
-        icache = icache_entry_penalty(result.emitted_size, machine)
-        precondition = 0
-        if result.needs_precondition:
-            precondition = machine.precondition_cycles
-            if result.factor & (result.factor - 1):  # not a power of two
-                precondition += machine.nonpow2_precondition_cycles
-        exit_cost = 0.0
-        if loop.has_early_exit:
-            # See cost_from_analysis for the speculation-gone-wrong story.
-            exit_cost = machine.exit_mispredict_cycles
-            if result.factor > 1 and main_period > 0:
-                wasted_copies = (result.factor - 1) * 0.8
-                exit_cost += wasted_copies * (main_period / result.factor)
-
-        per_entry = (
-            main_cycles
-            + rem_cycles
-            + icache
-            + precondition
-            + exit_cost
-            + ENTRY_OVERHEAD
-        )
-        total = per_entry * loop.entry_count
-        return LoopCost(
-            loop_name=loop.name,
-            factor=factor,
-            swp_requested=self.swp,
-            swp_used=swp_used,
-            total_cycles=total,
-            per_entry_cycles=per_entry,
-            main_period=main_period,
-            ii=ii,
-            stages=stages,
-            spill_penalty=spill,
-            icache_penalty=icache,
-            precondition_penalty=precondition,
-            emitted_instructions=result.emitted_size,
-        )
+        return self._assemble(loop, result, machine, main, rem)
 
     def _part_cycles_reference(
         self, part: Loop, machine: MachineModel, bw_floor: float, allow_swp: bool

@@ -253,6 +253,16 @@ class TestServeCommand:
         )
         assert "no such file" in capsys.readouterr().out
 
+    def test_cluster_without_reuseport_exits_2(self, model_path, capsys, monkeypatch):
+        import socket
+
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        argv = ["serve", "--model", str(model_path), "--listen", "127.0.0.1:0"]
+        assert main([*argv, "--workers", "2"]) == 2
+        out = capsys.readouterr().out
+        assert out.startswith("cannot serve: ")
+        assert "SO_REUSEPORT" in out
+
 
 class TestServeGatewayFlags:
     def _serve(self, model_path, tmp_path, lines, extra=()):

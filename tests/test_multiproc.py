@@ -1,17 +1,18 @@
-"""The multi-process serve tier: SO_REUSEPORT sharding, the balancer
-fallback, supervisor restarts, aggregated healthz, the adaptive batch
-window, and the served-request log.
+"""The multi-process serve tier: SO_REUSEPORT sharding, supervisor
+restarts, aggregated healthz, the adaptive batch window, and the
+served-request log.
 
 The wire-protocol tests are *inherited* from ``tests.test_daemon`` — the
 same test bodies that validate the single-process daemon run here against
-a live 2-worker cluster, once in ``reuseport`` mode (kernel connection
-sharding) and once in ``balancer`` mode (the asyncio front-end forced via
-``REPRO_NO_REUSEPORT=1``).  Cluster spin-up costs real fork/exec time, so
-the protocol suites share one module-scoped cluster per mode.
+a live 2-worker cluster whose workers share one port through the kernel's
+``SO_REUSEPORT`` connection sharding.  Cluster spin-up costs real
+spawn time, so the protocol suites share one module-scoped cluster.
 """
 
+import multiprocessing
 import os
 import signal
+import socket
 import threading
 import time
 from contextlib import contextmanager
@@ -20,7 +21,6 @@ import pytest
 
 from repro.registry import ArtifactStore, train_model_artifact
 from repro.serve import (
-    NO_REUSEPORT_ENV,
     BackgroundDaemon,
     ClusterConfig,
     DaemonConfig,
@@ -33,12 +33,17 @@ from repro.serve import (
     merge_worker_health,
     probe_healthz,
     read_request_log,
-    reuseport_available,
 )
+from repro.serve import requestlog as requestlog_module
 
 from tests import test_daemon as daemon_tests
 from tests.test_daemon import _Client, _features
 from tests.test_model_artifacts import synthetic_dataset
+
+needs_reuseport = pytest.mark.skipif(
+    not hasattr(socket, "SO_REUSEPORT"),
+    reason="SO_REUSEPORT unavailable on this platform",
+)
 
 
 @pytest.fixture(scope="module")
@@ -67,48 +72,45 @@ def store(model_dir):
     return ArtifactStore(root)
 
 
-def _start_cluster(model_dir, config, force_balancer=False):
-    """Start a cluster, forcing balancer mode via the env override for
-    exactly the duration of the mode decision."""
+def _start_cluster(model_dir, config):
     root, path = model_dir
     cluster = ServeCluster(path, config, store_root=root)
-    previous = os.environ.get(NO_REUSEPORT_ENV)
-    if force_balancer:
-        os.environ[NO_REUSEPORT_ENV] = "1"
-    try:
-        cluster.start()
-    finally:
-        if force_balancer:
-            if previous is None:
-                os.environ.pop(NO_REUSEPORT_ENV, None)
-            else:
-                os.environ[NO_REUSEPORT_ENV] = previous
+    cluster.start()
     return cluster
 
 
 @pytest.fixture(scope="module")
-def shared_clusters(model_dir):
-    """Lazily-started module clusters, one per sharding mode."""
-    started = {}
+def cluster(model_dir):
+    """The module's 2-worker cluster, started on first use."""
+    if not hasattr(socket, "SO_REUSEPORT"):
+        pytest.skip("SO_REUSEPORT unavailable on this platform")
+    config = ClusterConfig(
+        workers=2,
+        daemon=DaemonConfig(batch_window_ms=2.0, replicas=2),
+    )
+    cluster = _start_cluster(model_dir, config)
+    yield cluster
+    cluster.stop()
 
-    def get(mode):
-        if mode == "reuseport" and not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
-        if mode not in started:
-            config = ClusterConfig(
-                workers=2,
-                daemon=DaemonConfig(batch_window_ms=2.0, replicas=2),
-            )
-            cluster = _start_cluster(
-                model_dir, config, force_balancer=mode == "balancer"
-            )
-            assert cluster.mode == mode
-            started[mode] = cluster
-        return started[mode]
 
-    yield get
-    for cluster in started.values():
-        cluster.stop()
+def _stall_log_writes(monkeypatch):
+    """Make every request-log ``os.write`` wait for the returned
+    ``release`` event (a stalled disk); ``entered`` is set once the
+    writer thread is parked inside one."""
+    entered, release = threading.Event(), threading.Event()
+
+    class _StalledOs:
+        def __getattr__(self, name):
+            return getattr(os, name)
+
+        @staticmethod
+        def write(fd, data):
+            entered.set()
+            assert release.wait(30)
+            return os.write(fd, data)
+
+    monkeypatch.setattr(requestlog_module, "os", _StalledOs())
+    return entered, release
 
 
 class _ClusterCounters:
@@ -138,11 +140,9 @@ class _ClusterServer:
 
 
 class _ClusterHarness(daemon_tests.DaemonHarness):
-    mode = None
-
     @pytest.fixture(autouse=True)
-    def _attach_cluster(self, shared_clusters):
-        self._cluster = shared_clusters(self.mode)
+    def _attach_cluster(self, cluster):
+        self._cluster = cluster
 
     @contextmanager
     def _run(self, store, config=None, **kwargs):
@@ -154,28 +154,13 @@ class _ClusterHarness(daemon_tests.DaemonHarness):
 class TestReuseportProtocol(_ClusterHarness, daemon_tests.TestProtocol):
     """The daemon protocol suite against kernel-sharded workers."""
 
-    mode = "reuseport"
-
 
 class TestReuseportFamilies(_ClusterHarness, daemon_tests.TestClassifierFamilies):
-    mode = "reuseport"
-
-
-class TestBalancerProtocol(_ClusterHarness, daemon_tests.TestProtocol):
-    """The same suite through the asyncio front-end balancer, forced via
-    ``REPRO_NO_REUSEPORT=1`` (the satellite's fallback coverage)."""
-
-    mode = "balancer"
-
-
-class TestBalancerFamilies(_ClusterHarness, daemon_tests.TestClassifierFamilies):
-    mode = "balancer"
+    pass
 
 
 class TestClusterHealth:
-    @pytest.mark.parametrize("mode", ["reuseport", "balancer"])
-    def test_connections_shard_across_workers(self, shared_clusters, mode, dataset):
-        cluster = shared_clusters(mode)
+    def test_connections_shard_across_workers(self, cluster, dataset):
         seen = set()
         deadline = time.time() + 30.0
         while len(seen) < 2 and time.time() < deadline:
@@ -186,11 +171,7 @@ class TestClusterHealth:
         assert {worker for worker, _ in seen} == {0, 1}
         assert len({pid for _, pid in seen}) == 2
 
-    @pytest.mark.parametrize("mode", ["reuseport", "balancer"])
-    def test_wire_aggregate_healthz_merges_all_workers(
-        self, shared_clusters, mode, dataset
-    ):
-        cluster = shared_clusters(mode)
+    def test_wire_aggregate_healthz_merges_all_workers(self, cluster, dataset):
         client = _Client(cluster.address)
         client.ask({"id": 0, "features": _features(dataset)})
         merged = client.ask({"healthz": True, "aggregate": True, "id": "agg"})
@@ -205,18 +186,15 @@ class TestClusterHealth:
         assert {w["worker"] for w in health["workers"]} == {0, 1}
         assert health["gateway"]["admitted"] >= 1
 
-    def test_supervisor_healthz_matches_wire_aggregate(self, shared_clusters):
-        cluster = shared_clusters("reuseport")
+    def test_supervisor_healthz_matches_wire_aggregate(self, cluster):
         supervisor = cluster.healthz()
         assert supervisor["aggregate"] is True
         assert supervisor["cluster_size"] == 2
         assert supervisor["workers_alive"] == 2
-        assert supervisor["mode"] == "reuseport"
         assert "restarts" in supervisor
         assert "worker(s)" in cluster.summary()
 
-    def test_worker_healthz_carries_identity(self, shared_clusters):
-        cluster = shared_clusters("reuseport")
+    def test_worker_healthz_carries_identity(self, cluster):
         handle = cluster.workers[0]
         health = probe_healthz(*handle.control_address)
         assert health["worker"] == handle.worker_id
@@ -225,16 +203,12 @@ class TestClusterHealth:
 
 
 class TestSupervisorRestart:
-    @pytest.mark.parametrize("force_balancer", [False, True])
-    def test_kill_nine_survivors_keep_answering(
-        self, model_dir, dataset, force_balancer
-    ):
+    @needs_reuseport
+    def test_kill_nine_survivors_keep_answering(self, model_dir, dataset):
         """Chaos scenario 6's in-suite twin: kill -9 one worker; the
         survivor keeps answering through the shared port while the
         supervisor respawns the dead slot, and the healed cluster's
         aggregated counters balance."""
-        if not force_balancer and not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
         # A 1s backoff leaves a real outage window: the survivors answer
         # while the dead slot is still down, *before* the replacement's
         # spawn (imports, artifact load) starts competing for the CPU.
@@ -243,7 +217,7 @@ class TestSupervisorRestart:
             restart_backoff_s=1.0,
             daemon=DaemonConfig(batch_window_ms=1.0),
         )
-        cluster = _start_cluster(model_dir, config, force_balancer=force_balancer)
+        cluster = _start_cluster(model_dir, config)
         events = []
         cluster.on_event = events.append
         try:
@@ -308,26 +282,28 @@ class TestSupervisorRestart:
 
 
 class TestModeSelection:
-    def test_env_override_forces_balancer(self, model_dir, monkeypatch):
-        if not reuseport_available():
-            pytest.skip("SO_REUSEPORT unavailable on this platform")
-        monkeypatch.setenv(NO_REUSEPORT_ENV, "1")
-        assert reuseport_available() is False
-        cluster = ServeCluster(
-            model_dir[1],
-            ClusterConfig(workers=1),
-            store_root=model_dir[0],
+    """Where a cluster can start, and the CLI's serve-until-signalled path."""
+
+    def test_missing_reuseport_fails_before_any_spawn(self, model_dir, monkeypatch):
+        """Without ``SO_REUSEPORT`` the cluster cannot share a port: start
+        raises a typed error naming it, and no worker process exists."""
+        monkeypatch.delattr(socket, "SO_REUSEPORT", raising=False)
+        spawned = []
+        monkeypatch.setattr(
+            ServeCluster, "_spawn", lambda self, worker_id: spawned.append(worker_id)
         )
-        with cluster:
-            assert cluster.mode == "balancer"
-            assert cluster.address is not None
+        before = set(multiprocessing.active_children())
+        cluster = ServeCluster(
+            model_dir[1], ClusterConfig(workers=2), store_root=model_dir[0]
+        )
+        with pytest.raises(WorkerStartupError, match="SO_REUSEPORT"):
+            cluster.start()
+        assert spawned == []
+        assert set(multiprocessing.active_children()) == before
+        assert cluster.workers == []
+        cluster.stop()  # never started: a no-op
 
-    def test_env_override_zero_means_off(self, monkeypatch):
-        monkeypatch.delenv(NO_REUSEPORT_ENV, raising=False)
-        baseline = reuseport_available()
-        monkeypatch.setenv(NO_REUSEPORT_ENV, "0")
-        assert reuseport_available() == baseline
-
+    @needs_reuseport
     def test_run_serves_until_sigterm(self, model_dir, dataset):
         """The CLI path: ``run()`` announces readiness, serves, drains on
         SIGTERM, and restores the previous signal handlers."""
@@ -503,17 +479,6 @@ class TestAdaptiveWindow:
         assert daemon.window.window_ms > shrunk_to
         assert daemon.gateway.batch_stats.window_grows > 0
 
-    def test_adaptive_disabled_pins_configured_window(self, store, dataset):
-        config = DaemonConfig(batch_window_ms=4.0, adaptive_window=False)
-        daemon = ServeDaemon(store.path_for("base"), config, store=store)
-        with BackgroundDaemon(daemon) as server:
-            client = _Client(server.address)
-            for i in range(12):
-                client.ask({"id": i, "features": _features(dataset)})
-            client.close()
-        assert daemon.window.window_ms == 4.0
-        assert daemon.window.shrinks == 0
-
 
 class TestRequestLog:
     def test_features_checksum_is_format_insensitive(self):
@@ -607,6 +572,79 @@ class TestRequestLog:
         # time we read the file all three are durable).
         assert health["request_log"]["path"] == str(path)
 
+    def test_stalled_writer_bounds_the_queue_and_counts_drops(
+        self, tmp_path, monkeypatch
+    ):
+        """A writer stuck in ``os.write`` (a stalled disk) holds at most
+        ``QUEUE_BOUND`` records; the rest are dropped and counted, and
+        ``close()`` still writes everything that was queued."""
+        entered, release = _stall_log_writes(monkeypatch)
+        bound, extra = requestlog_module.QUEUE_BOUND, 25
+        log = RequestLog(tmp_path / "stalled.jsonl")
+        # Park the writer inside os.write with one record in hand, so the
+        # queue fills from empty and nothing drains it meanwhile.
+        log.record({"id": "parked"})
+        assert entered.wait(10)
+        for i in range(bound + extra):
+            log.record({"id": i})
+        assert log._queue.qsize() == bound
+        assert log.dropped == extra
+        assert log.stats()["dropped"] == extra
+        release.set()
+        log.close()
+        records = read_request_log(log.path)
+        assert [r["id"] for r in records] == ["parked", *range(bound)]
+        assert log.records == bound + 1
+        assert log.dropped == extra
+
+    def test_concurrent_records_keep_the_bound_exact(self, tmp_path, monkeypatch):
+        """Many recording threads against a stalled writer: every record
+        is either queued or counted as dropped, and the queue never
+        passes the bound."""
+        import sys
+
+        _, release = _stall_log_writes(monkeypatch)
+        monkeypatch.setattr(requestlog_module, "QUEUE_BOUND", 500)
+        log = RequestLog(tmp_path / "contended.jsonl")
+        threads, per_thread = 8, 400
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            workers = [
+                threading.Thread(
+                    target=lambda t=t: [
+                        log.record({"id": f"{t}-{i}"}) for i in range(per_thread)
+                    ]
+                )
+                for t in range(threads)
+            ]
+            for worker in workers:
+                worker.start()
+            for worker in workers:
+                worker.join(timeout=30)
+                assert not worker.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        # The writer took at most one sweep before stalling in os.write.
+        queued = log._queue.qsize()
+        assert queued <= 500
+        release.set()
+        log.close()
+        assert log.records + log.dropped == threads * per_thread
+        assert len(read_request_log(log.path)) == log.records
+
+    def test_merge_sums_dropped_records(self):
+        merged = merge_worker_health(
+            [
+                {"worker": 0, "request_log": {"records": 3, "dropped": 2}},
+                {"worker": 1, "request_log": {"records": 1, "dropped": 5}},
+                {"worker": 2, "request_log": None},
+            ]
+        )
+        assert merged["request_log_records"] == 4
+        assert merged["request_log_dropped"] == 7
+
+    @needs_reuseport
     def test_cluster_workers_share_one_log(self, model_dir, dataset, tmp_path):
         """Every worker appends to the same path; lines interleave at
         record granularity and carry the writing worker's id."""

@@ -18,7 +18,9 @@ from repro.serve import (
     ERROR_INVALID_JSON,
     ERROR_MALFORMED_REQUEST,
     ERROR_UNPARSEABLE_LOOP,
+    GatewayConfig,
     PredictionEngine,
+    ServeGateway,
     error_response,
 )
 
@@ -185,14 +187,18 @@ class TestBatching:
         return batch
 
     def test_concurrent_matches_serial_in_order(self, engine, dataset):
+        # The gateway's pooled batch and the engine's vectorized batch
+        # both answer exactly what per-request handle() answers, in order.
         batch = self._mixed_batch(dataset)
-        serial = engine.serve_batch(batch, max_workers=1)
-        concurrent = engine.serve_batch(batch, max_workers=4)
-        assert [r["id"] for r in serial] == list(range(len(batch)))
-        assert [r["id"] for r in concurrent] == list(range(len(batch)))
-        for a, b in zip(serial, concurrent):
-            assert a["ok"] == b["ok"]
-            assert a.get("factor") == b.get("factor")
+        serial = [engine.handle(request) for request in batch]
+        vectorized = engine.handle_batch(batch)
+        with ServeGateway(engine, GatewayConfig(max_workers=4)) as gateway:
+            concurrent = gateway.serve_batch(batch)
+        for responses in (serial, vectorized, concurrent):
+            assert [r["id"] for r in responses] == list(range(len(batch)))
+        for a, b, c in zip(serial, vectorized, concurrent):
+            assert a["ok"] == b["ok"] == c["ok"]
+            assert a.get("factor") == b.get("factor") == c.get("factor")
 
     def test_one_poisoned_request_cannot_sink_the_batch(self, engine, dataset):
         batch = [
@@ -200,14 +206,14 @@ class TestBatching:
             {"id": 1, "source": "loop broken\nend"},
             {"id": 2, "features": _features(dataset, 1)},
         ]
-        responses = engine.serve_batch(batch, max_workers=2)
+        responses = engine.handle_batch(batch)
         assert [r["ok"] for r in responses] == [True, False, True]
 
     def test_rollup_accounts_every_request(self, artifact, dataset):
         rollup = MeasurementRollup()
         engine = PredictionEngine(artifact, rollup=rollup)
         batch = self._mixed_batch(dataset, n=9)
-        engine.serve_batch(batch, max_workers=3)
+        engine.handle_batch(batch)
         assert rollup.n_units == 9
         pcts = rollup.latency_percentiles()
         assert set(pcts) == {50.0, 95.0, 99.0}
@@ -232,7 +238,8 @@ class TestServeLines:
             "",  # blank lines are skipped, not errors
             json.dumps({"id": 2, "features": _features(dataset, 1)}),
         ]
-        responses = engine.serve_lines(lines)
+        with ServeGateway(engine) as gateway:
+            responses = gateway.serve_lines(lines)
         assert len(responses) == 3
         assert responses[0]["ok"] is True
         assert responses[1]["ok"] is False
@@ -242,7 +249,8 @@ class TestServeLines:
 
     def test_scalar_json_is_malformed_not_invalid(self, engine):
         # "42" parses as JSON; it fails later, as a malformed *request*.
-        [response] = engine.serve_lines(["42"])
+        with ServeGateway(engine) as gateway:
+            [response] = gateway.serve_lines(["42"])
         assert response["error"]["type"] == ERROR_MALFORMED_REQUEST
 
 
@@ -269,8 +277,6 @@ from repro.serve import (
     ERROR_DEADLINE_EXCEEDED,
     ERROR_INTERNAL,
     ERROR_OVERLOADED,
-    GatewayConfig,
-    ServeGateway,
     load_serving_artifact,
 )
 
@@ -292,7 +298,7 @@ class TestInternalErrorPath:
             {"id": 2, "features": _features(dataset)},
         ]
         with fault_plan(plan):
-            responses = engine.serve_batch(batch)
+            responses = engine.handle_batch(batch)
         assert [r["ok"] for r in responses] == [True, False, True]
         assert responses[1]["error"]["type"] == ERROR_INTERNAL
 
